@@ -7,10 +7,9 @@ the CLI and the acceptance suite.
 """
 
 from .correlations import (CorrelationReport, classical_correlation,
-                           mutual_information, mutual_information_bell,
-                           quantum_discord)
+                           mutual_information, quantum_discord)
 from .linalg import (binary_entropy, hermitian_eig, is_density_matrix, kron,
-                     partial_trace, shannon_entropy, von_neumann_entropy)
+                     partial_trace, von_neumann_entropy)
 from .measurement import (MeasurementEnsemble, ProjectorPair,
                           VonNeumannMeasurement, apply_measurement,
                           bell_conditional_entropy, conditional_entropy,
@@ -20,11 +19,10 @@ from .optimizer import (OptimizationResult, OptimizerConfig,
                         analytic_gradient_bell, finite_diff_gradient,
                         gradient_descent, grid_oracle, multi_start,
                         nelder_mead)
-from .states import (DensityMatrix, GateOp, VectorizedState,
-                     apply_gate_sequence, bell_diagonal, devectorize,
-                     fixed_random_state, load_state, mixed_bell_family,
-                     save_state, vectorize, werner)
-from .su_basis import (GeneratorSet, SuDecomposition, canonicalize_two_qubit,
-                       decompose, generators, reconstruct)
+from .states import (DensityMatrix, VectorizedState, bell_diagonal,
+                     devectorize, fixed_random_state, load_state,
+                     mixed_bell_family, save_state, vectorize, werner)
+from .su_basis import (GeneratorSet, SuDecomposition, decompose, generators,
+                       reconstruct)
 
 __version__ = "0.1.0"

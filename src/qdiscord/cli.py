@@ -14,8 +14,10 @@ or the QDISCORD_CONFIG environment variable), which overrides defaults.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -25,7 +27,7 @@ from .linalg import von_neumann_entropy
 from .measurement import conditional_entropy_fn
 from .optimizer import OptimizerConfig, grid_oracle
 from .states import (DensityMatrix, bell_diagonal, load_state,
-                     mixed_bell_family, werner)
+                     mixed_bell_family, read_state, werner)
 
 CONFIG_ENV_VAR = "QDISCORD_CONFIG"
 
@@ -147,12 +149,48 @@ _SAFE_EVAL_NAMES = {
     "exp": math.exp, "log": math.log, "pi": math.pi, "abs": abs,
 }
 
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv,
+               ast.Pow: operator.pow}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _eval_omega(expr: str, a: float) -> float:
+    """Value of one --omega expression at a.
+
+    Only numbers, the name a, the names in _SAFE_EVAL_NAMES, the
+    operators + - * / ** and unary +/- are accepted; the syntax tree is
+    walked here, so nothing reaches eval.
+    """
+    names = dict(_SAFE_EVAL_NAMES, a=a)
+
+    def value(node):
+        if (isinstance(node, ast.Constant)
+                and type(node.value) in (int, float)):
+            return float(node.value)
+        if (isinstance(node, ast.Name) and node.id in names
+                and not callable(names[node.id])):
+            return names[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            return _BINARY_OPS[type(node.op)](value(node.left),
+                                              value(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            return _UNARY_OPS[type(node.op)](value(node.operand))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and callable(names.get(node.func.id)) and not node.keywords):
+            return names[node.func.id](*(value(x) for x in node.args))
+        raise ValueError(f"unsupported term {ast.unparse(node)!r}")
+
+    try:
+        return float(value(ast.parse(expr.strip(), mode="eval").body))
+    except (SyntaxError, ArithmeticError, TypeError, ValueError,
+            RecursionError) as exc:
+        raise ValueError(f"cannot evaluate omega expression {expr!r}: "
+                         f"{exc}") from exc
+
 
 def _omega_at(exprs, a: float):
-    return tuple(
-        float(eval(e, {"__builtins__": {}}, dict(_SAFE_EVAL_NAMES, a=a)))
-        for e in exprs
-    )
+    return tuple(_eval_omega(e, a) for e in exprs)
 
 
 def _family_state(family: str, a: float, omega_exprs) -> DensityMatrix:
@@ -254,23 +292,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _build_run_config(args)
-    try:
-        with open(args.state) as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot parse {args.state}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    import numpy as np
-
-    try:
-        m, n = (int(x) for x in data["dims"])
-        mat = np.array(data["re"], dtype=float) + 1j * np.array(data["im"],
-                                                                dtype=float)
-        rho = DensityMatrix((m, n), mat)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"malformed state file: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    report = rho.validity(cfg.input_tolerance)
+    report = read_state(args.state).validity(cfg.input_tolerance)
     print(f"hermiticity defect {report.hermiticity_defect:.6e}")
     print(f"trace defect       {report.trace_defect:.6e}")
     print(f"min eigenvalue     {report.min_eigenvalue:.6e}")

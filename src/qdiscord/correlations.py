@@ -8,14 +8,14 @@ identity I = C + QD holds exactly in every report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import von_neumann_entropy
 from .measurement import (VonNeumannMeasurement, bell_conditional_entropy,
-                          conditional_entropy_fn, from_angles)
+                          conditional_entropy_fn, from_angles,
+                          hyperspherical_angles)
 from .optimizer import (OptimizerConfig, analytic_gradient_bell,
                         finite_diff_gradient, gradient_descent, grid_oracle,
                         multi_start, nelder_mead)
@@ -52,20 +52,6 @@ def mutual_information(rho: DensityMatrix) -> float:
     return (von_neumann_entropy(rho.marginal("A"))
             + von_neumann_entropy(rho.marginal("B"))
             - von_neumann_entropy(rho.matrix))
-
-
-def mutual_information_bell(omega) -> float:
-    """Shortcut for the Bell-diagonal family: 2 + sum nu log2 nu."""
-    from .linalg import hermitian_eig
-    from .states import bell_diagonal
-
-    rho = bell_diagonal(omega)
-    vals = hermitian_eig(rho.matrix).eigenvalues
-    total = 2.0
-    for nu in vals:
-        if nu > 0.0:
-            total += nu * math.log2(nu)
-    return total
 
 
 def _bell_diagonal_form(rho: DensityMatrix):
@@ -113,8 +99,6 @@ def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig):
     elif cfg.method == "nelder_mead":
         inner = nelder_mead
     else:  # grid_then_polish
-        from .measurement import hyperspherical_angles
-
         def inner(c, theta0, c_cfg):
             _, coarse = grid_oracle(
                 lambda meas: c(hyperspherical_angles(meas)), resolution=24)

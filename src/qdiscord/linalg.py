@@ -2,14 +2,12 @@
 
 Everything in this package works on small dense complex matrices
 (nothing exceeds 16x16), stored row-major as numpy arrays.  All
-entropies are in bits (base-2 logarithms).  The Hermitian eigensolver
-is a cyclic complex Jacobi iteration, so results are deterministic and
-carry no dependency on an external LAPACK build.
+entropies are in bits (base-2 logarithms).  Spectra come from numpy's
+LAPACK Hermitian eigensolver.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,8 +15,6 @@ import numpy as np
 
 # Tolerances used throughout; see module docstrings for rationale.
 HERMITICITY_TOL = 1e-9
-JACOBI_OFFDIAG_TOL = 1e-12
-EIG_CLAMP = 1e-10
 PSD_TOL = 1e-8
 
 
@@ -67,14 +63,12 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def hermitian_eig(h: np.ndarray, tol: float = JACOBI_OFFDIAG_TOL,
-                  max_sweeps: int = 60) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy's eigh).
 
     The input is symmetrized by (H + H^dag)/2 first; inputs that are
     non-Hermitian beyond HERMITICITY_TOL (relative to the largest entry)
-    are rejected.  Iterates sweeps of complex plane rotations until the
-    off-diagonal Frobenius norm drops below tol * ||H||.
+    are rejected.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[0]
@@ -83,38 +77,8 @@ def hermitian_eig(h: np.ndarray, tol: float = JACOBI_OFFDIAG_TOL,
     scale = float(np.max(np.abs(h))) if h.size else 0.0
     if hermiticity_defect(h) > HERMITICITY_TOL * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
-    a = 0.5 * (h + h.conj().T)
-    v = np.eye(n, dtype=complex)
-    norm = frobenius_norm(a)
-    if norm == 0.0:
-        return EigenDecomposition(np.zeros(n), v)
-
-    for _ in range(max_sweeps):
-        offmat = a.copy()
-        np.fill_diagonal(offmat, 0.0)
-        off = frobenius_norm(offmat)
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol * norm / (n * n):
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # Phase out a[p,q], then a real rotation annihilates it.
-                phase = cmath.exp(-1j * cmath.phase(apq))
-                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                g = np.array([[c, -s], [phase * s, phase * c]], dtype=complex)
-                a[[p, q], :] = g.conj().T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ g
-                v[:, [p, q]] = v[:, [p, q]] @ g
-
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(vals[order], v[:, order])
+    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return EigenDecomposition(vals, vecs)
 
 
 def entropy_of_spectrum(vals) -> float:
@@ -148,20 +112,6 @@ def binary_entropy(x: float) -> float:
         s -= x * math.log2(x)
     if x < 1.0:
         s -= (1.0 - x) * math.log2(1.0 - x)
-    return s
-
-
-def shannon_entropy(p) -> float:
-    """-sum p log2 p for a probability vector."""
-    p = np.asarray(p, dtype=float)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    if float(p.min()) < -1e-12:
-        raise ValueError(f"negative probability {p.min()}")
-    s = 0.0
-    for x in p:
-        if x > 0.0:
-            s -= x * math.log2(x)
     return s
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import entropy_of_spectrum, kron
+from .linalg import binary_entropy, kron, von_neumann_entropy
 from .states import DensityMatrix, VectorizedState, devectorize
 
 PAULIS = (
@@ -135,24 +135,6 @@ def apply_measurement(rho: DensityMatrix, pair: ProjectorPair) -> MeasurementEns
     return MeasurementEnsemble(tuple(outcomes))
 
 
-def _eigvals_2x2(h: np.ndarray):
-    """Closed-form eigenvalues of a Hermitian 2x2 matrix."""
-    a = h[0, 0].real
-    d = h[1, 1].real
-    b = h[0, 1]
-    disc = math.sqrt(max((a - d) ** 2 + 4.0 * abs(b) ** 2, 0.0))
-    half = 0.5 * (a + d)
-    return half - 0.5 * disc, half + 0.5 * disc
-
-
-def _marginal_entropy(rho_a: np.ndarray) -> float:
-    if rho_a.shape == (2, 2):
-        return entropy_of_spectrum(_eigvals_2x2(rho_a))
-    from .linalg import hermitian_eig
-
-    return entropy_of_spectrum(hermitian_eig(rho_a).eigenvalues)
-
-
 def conditional_entropy(rho: DensityMatrix,
                         meas: VonNeumannMeasurement) -> float:
     """sum_j p_j S(rho_j) for the two projective outcomes on B.
@@ -174,7 +156,7 @@ def conditional_entropy(rho: DensityMatrix,
         p = float(np.trace(red).real)
         if p < PROB_FLOOR:
             continue
-        total += p * _marginal_entropy(red / p)
+        total += p * von_neumann_entropy(red / p)
     return total
 
 
@@ -206,7 +188,7 @@ def conditional_entropy_fn(rho: DensityMatrix):
                 p = float(np.trace(red).real)
                 if p < PROB_FLOOR:
                     continue
-                total += p * _marginal_entropy(red / p)
+                total += p * von_neumann_entropy(red / p)
             return total
 
         return evaluate
@@ -253,8 +235,6 @@ def bell_conditional_entropy(omega, meas: VonNeumannMeasurement) -> float:
     Bloch length xi = |(w_1 z_1, w_2 z_2, w_3 z_3)|, where z is the
     measurement direction obtained by conjugation.
     """
-    from .linalg import binary_entropy
-
     omega = np.asarray(omega, dtype=float)
     z = meas.bloch_direction()
     xi = math.sqrt(float(np.sum((omega * z) ** 2)))
@@ -303,5 +283,5 @@ def vectorized_conditional_entropy(v: VectorizedState,
         mat = devectorize(image) / weight
         red = np.trace(mat.reshape(v.dims[0], 2, v.dims[0], 2),
                        axis1=1, axis2=3)
-        total += weight * _marginal_entropy(red)
+        total += weight * von_neumann_entropy(red)
     return total

@@ -1,4 +1,4 @@
-"""Built-in state families, vectorization and a small gate utility.
+"""Built-in state families, vectorization and the JSON state format.
 
 States are carried as a DensityMatrix: a bipartite dimension tag plus
 the dense matrix.  Construction here does not validate; the built-in
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm, is_density_matrix, kron, partial_trace
+from .linalg import (frobenius_norm, hermitian_eig, is_density_matrix, kron,
+                     partial_trace)
 
 KET_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 KET_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -85,8 +86,6 @@ def bell_diagonal(omega) -> DensityMatrix:
     for w, axis in zip(omega, "xyz"):
         rho += w * kron(_PAULI[axis], _PAULI[axis])
     rho /= 4.0
-    from .linalg import hermitian_eig
-
     lam = hermitian_eig(rho).eigenvalues
     if lam[0] < -1e-9:
         raise ValueError(
@@ -115,8 +114,6 @@ def fixed_random_state() -> DensityMatrix:
     raw = np.array(_FIXED_RANDOM_ENTRIES, dtype=complex)
     sym = 0.5 * (raw + raw.conj().T)
     rho = sym / np.trace(sym).real
-    from .linalg import hermitian_eig
-
     lam = hermitian_eig(rho).eigenvalues
     if lam[0] < -1e-3:
         raise ValueError("benchmark state irreparably non-positive")
@@ -155,78 +152,6 @@ def devectorize(v: VectorizedState) -> np.ndarray:
     return (v.amplitudes * v.normalization).reshape(d, d)
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """One gate in a preparation sequence.
-
-    kind: 'H', 'CNOT', 'U2' (payload: arbitrary 2x2 unitary) or
-    'RPARAM' (payload: rotation exp(-i theta/2 axis.sigma)).
-    """
-
-    kind: str
-    targets: tuple[int, ...]
-    matrix: np.ndarray | None = None
-    theta: float = 0.0
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-    def single_qubit_matrix(self) -> np.ndarray:
-        if self.kind == "H":
-            return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-        if self.kind == "U2":
-            u = np.asarray(self.matrix, dtype=complex)
-            if u.shape != (2, 2):
-                raise ValueError("U2 payload must be 2x2")
-            if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
-                raise ValueError("U2 payload is not unitary")
-            return u
-        if self.kind == "RPARAM":
-            ax = np.asarray(self.axis, dtype=float)
-            ax = ax / math.sqrt(float(ax @ ax))
-            ns = (ax[0] * _PAULI["x"] + ax[1] * _PAULI["y"]
-                  + ax[2] * _PAULI["z"])
-            return (math.cos(self.theta / 2.0) * np.eye(2)
-                    - 1j * math.sin(self.theta / 2.0) * ns)
-        raise ValueError(f"{self.kind} is not a single-qubit gate")
-
-
-def _apply_single(state: np.ndarray, u: np.ndarray, target: int,
-                  num_qubits: int) -> np.ndarray:
-    t = state.reshape([2] * num_qubits)
-    t = np.moveaxis(t, target, 0)
-    t = np.tensordot(u, t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, target)
-    return t.reshape(-1)
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int,
-                num_qubits: int) -> np.ndarray:
-    t = state.reshape([2] * num_qubits).copy()
-    ctrl_one = [slice(None)] * num_qubits
-    ctrl_one[control] = 1
-    block = t[tuple(ctrl_one)]
-    tgt = target if target < control else target - 1
-    t[tuple(ctrl_one)] = np.flip(block, axis=tgt)
-    return t.reshape(-1)
-
-
-def apply_gate_sequence(gates, num_qubits: int) -> np.ndarray:
-    """Apply gates left to right to |0...0> and return the statevector."""
-    state = np.zeros(2 ** num_qubits, dtype=complex)
-    state[0] = 1.0
-    for g in gates:
-        for t in g.targets:
-            if not 0 <= t < num_qubits:
-                raise ValueError(f"gate target {t} out of range")
-        if g.kind == "CNOT":
-            control, target = g.targets
-            state = _apply_cnot(state, control, target, num_qubits)
-        else:
-            (target,) = g.targets
-            state = _apply_single(state, g.single_qubit_matrix(), target,
-                                  num_qubits)
-    return state
-
-
 def to_json_dict(rho: DensityMatrix) -> dict:
     m = np.asarray(rho.matrix)
     return {
@@ -242,14 +167,17 @@ def save_state(rho: DensityMatrix, path) -> None:
         f.write("\n")
 
 
-def load_state(path, tol: float = 1e-6) -> DensityMatrix:
-    """Load the JSON density-matrix format and validate it.
+def read_state(path) -> DensityMatrix:
+    """Parse the JSON density-matrix format without checking validity.
 
-    Raises ValueError naming the defect if the matrix fails Hermiticity,
-    trace or positivity checks at `tol`.
+    Raises ValueError if the file cannot be read or parsed, or if its
+    blocks do not match its dims.
     """
-    with open(path) as f:
-        data = json.load(f)
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
     try:
         m, n = (int(x) for x in data["dims"])
         re = np.array(data["re"], dtype=float)
@@ -260,8 +188,23 @@ def load_state(path, tol: float = 1e-6) -> DensityMatrix:
         raise ValueError(
             f"matrix blocks {re.shape}/{im.shape} do not match dims ({m},{n})"
         )
-    rho = DensityMatrix((m, n), re + 1j * im)
+    return DensityMatrix((m, n), re + 1j * im)
+
+
+def load_state(path, tol: float = 1e-6) -> DensityMatrix:
+    """Load the JSON density-matrix format, validate it and repair it.
+
+    Raises ValueError naming the defect if the matrix fails Hermiticity,
+    trace or positivity checks at `tol`.  An accepted matrix is replaced
+    by its projection onto the density matrices: the Hermitian part with
+    negative eigenvalues clipped to zero and the trace renormalized to
+    one, so defects within `tol` never reach the entropy routines.
+    """
+    rho = read_state(path)
     report = rho.validity(tol)
     if not report.valid:
         raise ValueError(f"not a density matrix: {report.describe()}")
-    return rho
+    dec = hermitian_eig(0.5 * (rho.matrix + rho.matrix.conj().T))
+    lam = np.clip(dec.eigenvalues, 0.0, None)
+    v = dec.eigenvectors
+    return DensityMatrix(rho.dims, (v * (lam / lam.sum())) @ v.conj().T)

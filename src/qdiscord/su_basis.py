@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, kron
+from .linalg import kron
 
 COEFF_IMAG_TOL = 1e-8
 
@@ -135,98 +135,3 @@ def reconstruct(d: SuDecomposition) -> np.ndarray:
         for j, gb in enumerate(gen_b):
             rho += d.corr[i, j] * kron(ga, gb)
     return rho / (m * n)
-
-
-def _svd3(m: np.ndarray):
-    """Real 3x3 SVD with both factors proper rotations.
-
-    Returns (u, s, v) with m = u @ diag(s) @ v.T, det(u) = det(v) = +1,
-    s ordered by descending absolute value; only s[2] may be negative.
-    """
-    m = np.asarray(m, dtype=float)
-    dec = hermitian_eig(m.T @ m)
-    order = np.argsort(dec.eigenvalues)[::-1]
-    vals = dec.eigenvalues[order]
-    v = dec.eigenvectors.real[:, order]
-    s = np.sqrt(np.clip(vals, 0.0, None))
-
-    u = np.zeros((3, 3))
-    for i in range(2):
-        if s[i] > 1e-12:
-            u[:, i] = m @ v[:, i] / s[i]
-        else:
-            # Rank-deficient: complete with any unit vector orthogonal
-            # to the columns built so far.
-            for cand in np.eye(3):
-                w = cand - u[:, :i] @ (u[:, :i].T @ cand)
-                nw = math.sqrt(float(w @ w))
-                if nw > 0.5:
-                    u[:, i] = w / nw
-                    break
-    # Re-orthonormalize the second column against the first.
-    u[:, 1] -= u[:, 0] * float(u[:, 0] @ u[:, 1])
-    u[:, 1] /= math.sqrt(float(u[:, 1] @ u[:, 1]))
-    u[:, 2] = np.cross(u[:, 0], u[:, 1])
-    # Signed third singular value: u was completed right-handed, so any
-    # reflection is absorbed here.
-    s[2] = float(u[:, 2] @ (m @ v[:, 2]))
-    if float(np.linalg.det(v)) < 0:
-        v[:, 2] = -v[:, 2]
-        s[2] = -s[2]
-    return u, s, v
-
-
-def _so3_from_su2(u: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with u s_i u^dag = sum_k R_ki s_k."""
-    from .measurement import PAULIS  # local import avoids a cycle
-
-    r = np.zeros((3, 3))
-    for i in range(3):
-        m = u @ PAULIS[i] @ u.conj().T
-        for k in range(3):
-            r[k, i] = 0.5 * np.trace(PAULIS[k] @ m).real
-    return r
-
-
-def _su2_from_so3(r: np.ndarray) -> np.ndarray:
-    """SU(2) element realizing a proper rotation by conjugation."""
-    from .measurement import PAULIS
-
-    tr = float(np.trace(r))
-    c = max(min((tr - 1.0) / 2.0, 1.0), -1.0)
-    angle = math.acos(c)
-    if angle < 1e-12:
-        return np.eye(2, dtype=complex)
-    if math.pi - angle < 1e-6:
-        # Near-pi rotations: axis from the symmetric part.
-        diag = np.clip((np.diag(r) + 1.0) / 2.0, 0.0, None)
-        axis = np.sqrt(diag)
-        # Fix relative signs from the off-diagonal entries.
-        k = int(np.argmax(axis))
-        for i in range(3):
-            if i != k and r[k, i] + r[i, k] < 0:
-                axis[i] = -axis[i]
-        axis = axis / math.sqrt(float(axis @ axis))
-    else:
-        axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0],
-                         r[1, 0] - r[0, 1]]) / (2.0 * math.sin(angle))
-    ns = axis[0] * PAULIS[0] + axis[1] * PAULIS[1] + axis[2] * PAULIS[2]
-    return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * ns
-
-
-def canonicalize_two_qubit(rho: np.ndarray):
-    """Canonical form of a two-qubit state under local rotations.
-
-    Diagonalizes the 3x3 correlation matrix by a proper-rotation SVD and
-    returns (omega, (u_a, u_b), (alpha', beta')): the signed singular
-    values, the SU(2) conjugations realizing the diagonalization, and
-    the local Bloch vectors in the rotated frame.  Conjugating the input
-    by u_a (x) u_b yields a state whose correlation matrix is diag(omega).
-    """
-    d = decompose(rho, (2, 2))
-    u, s, v = _svd3(d.corr)
-    u_a = _su2_from_so3(u)
-    u_b = _su2_from_so3(v)
-    alpha_res = u.T @ d.alpha
-    beta_res = v.T @ d.beta
-    return s, (u_a, u_b), (alpha_res, beta_res)

@@ -195,3 +195,52 @@ def test_config_rejects_unknown_keys(werner_file, tmp_path, capsys):
     assert main(["compute", "--state", werner_file,
                  "--config", str(cfg_path)]) == 1
     assert "unknown optimizer config keys" in capsys.readouterr().err
+
+
+def _write_matrix(path, matrix):
+    path.write_text(json.dumps({"dims": [2, 2],
+                                "re": matrix.real.tolist(),
+                                "im": matrix.imag.tolist()}))
+    return str(path)
+
+
+def test_validate_accepted_states_can_be_computed(tmp_path, capsys):
+    # Both defects lie inside the default --tolerance-input of 1e-6 but
+    # outside the entropy routines' own tolerances.
+    eps = 1.7e-7
+    shifted = werner(1.0).matrix.copy()
+    shifted[0, 0] -= eps          # |00> is a null vector of the singlet
+    shifted += eps * np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2
+    skewed = werner(0.5).matrix.copy()
+    skewed[0, 1] += 5e-7
+    for name, matrix in (("negative.json", shifted), ("skewed.json", skewed)):
+        path = _write_matrix(tmp_path / name, matrix)
+        assert main(["validate", "--state", path]) == 0
+        assert main(["compute", "--state", path]) == 0, \
+            capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "min eigenvalue     -1.7" in out
+
+
+def test_sweep_omega_rejects_code(tmp_path, capsys):
+    escape = ("[c for c in ().__class__.__base__.__subclasses__() "
+              "if c.__name__=='BuiltinImporter'][0]"
+              ".load_module('os').getpid()*0")
+    for expr in (escape, "__import__('os')", "a.real", "sin(x=a)", "2**10000"):
+        assert main(["sweep", "--family", "bell_diagonal", "--start", "0.1",
+                     "--end", "0.1", "--step", "0.1",
+                     f"--omega={expr},0,0",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "omega expression" in capsys.readouterr().err
+
+
+def test_sweep_omega_math_functions(tmp_path, capsys):
+    out_path = tmp_path / "cos.csv"
+    assert main(["sweep", "--family", "bell_diagonal", "--start", "0",
+                 "--end", "0.5", "--step", "0.5",
+                 "--omega=0.5*cos(pi*a),-a,+a**2/2",
+                 "--out", str(out_path)]) == 0
+    rows = out_path.read_text().strip().split("\n")[1:]
+    # a = 0 gives omega = (0.5, 0, 0), a classical-classical state.
+    assert len(rows) == 2
+    assert float(rows[0].split(",")[3]) == pytest.approx(0.0, abs=1e-9)

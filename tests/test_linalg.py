@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import (binary_entropy, hermitian_eig, is_density_matrix,
-                             kron, partial_trace, shannon_entropy,
-                             von_neumann_entropy)
+                             kron, partial_trace, von_neumann_entropy)
 from qdiscord.states import werner
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -167,15 +166,6 @@ def test_binary_entropy_values():
     assert binary_entropy(0.25) == pytest.approx(0.811278, abs=1e-6)
     with pytest.raises(ValueError):
         binary_entropy(1.5)
-
-
-def test_shannon_entropy():
-    assert shannon_entropy([1, 0, 0]) == 0.0
-    assert shannon_entropy([0.25] * 4) == pytest.approx(2.0, abs=1e-15)
-    assert shannon_entropy([0.1, 0.9]) == pytest.approx(binary_entropy(0.1),
-                                                        abs=1e-15)
-    with pytest.raises(ValueError):
-        shannon_entropy([0.5, 0.6])
 
 
 def test_density_matrix_report():

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import hermitian_eig
-from qdiscord.states import (DensityMatrix, GateOp, apply_gate_sequence,
-                             bell_diagonal, devectorize, fixed_random_state,
-                             load_state, mixed_bell_family, save_state,
-                             vectorize, werner)
+from qdiscord.states import (DensityMatrix, bell_diagonal, devectorize,
+                             fixed_random_state, load_state, mixed_bell_family,
+                             save_state, vectorize, werner)
 
 
 def test_werner_endpoints():
@@ -98,55 +97,6 @@ def test_vectorize_roundtrip_random():
 def test_vectorize_rejects_zero():
     with pytest.raises(ValueError):
         vectorize(DensityMatrix((1, 2), np.zeros((2, 2), dtype=complex)))
-
-
-def test_gate_sequence_bell_pair():
-    out = apply_gate_sequence(
-        [GateOp("H", (0,)), GateOp("CNOT", (0, 1))], 2)
-    assert np.allclose(out, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-12)
-
-
-def test_gate_sequence_empty():
-    out = apply_gate_sequence([], 3)
-    expect = np.zeros(8)
-    expect[0] = 1
-    assert np.allclose(out, expect)
-
-
-def test_gate_sequence_norm_preserved():
-    rng = np.random.default_rng(2)
-    gates = []
-    for _ in range(12):
-        kind = rng.choice(["H", "CNOT", "RPARAM"])
-        if kind == "CNOT":
-            c, t = rng.choice(4, size=2, replace=False)
-            gates.append(GateOp("CNOT", (int(c), int(t))))
-        elif kind == "H":
-            gates.append(GateOp("H", (int(rng.integers(4)),)))
-        else:
-            gates.append(GateOp("RPARAM", (int(rng.integers(4)),),
-                                theta=float(rng.uniform(0, 6)),
-                                axis=tuple(rng.normal(size=3))))
-    out = apply_gate_sequence(gates, 4)
-    assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
-
-
-def test_gate_sequence_rejects_bad_unitary():
-    with pytest.raises(ValueError):
-        apply_gate_sequence(
-            [GateOp("U2", (0,), matrix=np.array([[1, 1], [0, 1]]))], 1)
-
-
-def test_gate_sequence_prepares_vectorized_bell_state():
-    # Doubled-register preparation: a Bell pair on the physical half and
-    # one on the ancilla half is exactly the flattening of the pure Bell
-    # projector (its Frobenius norm is 1).
-    gates = [GateOp("H", (0,)), GateOp("CNOT", (0, 1)),
-             GateOp("H", (2,)), GateOp("CNOT", (2, 3))]
-    out = apply_gate_sequence(gates, 4)
-    bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
-    target = vectorize(DensityMatrix((2, 2), np.outer(bell, bell)))
-    assert np.allclose(out, target.amplitudes, atol=1e-12)
 
 
 def test_json_roundtrip(tmp_path):

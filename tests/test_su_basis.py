@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import kron
-from qdiscord.states import bell_diagonal, fixed_random_state, werner
-from qdiscord.su_basis import (canonicalize_two_qubit, decompose, generators,
-                               reconstruct)
+from qdiscord.states import werner
+from qdiscord.su_basis import decompose, generators, reconstruct
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -18,13 +17,6 @@ def random_density(rng, d=4):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def random_su2(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return q / np.sqrt(np.linalg.det(q))
 
 
 def test_generators_su2_are_paulis():
@@ -111,52 +103,3 @@ def test_reconstruct_singlet_from_coefficients():
     d = SuDecomposition((2, 2), np.zeros(3), np.zeros(3),
                         np.diag([-1.0, -1.0, -1.0]))
     assert np.max(np.abs(reconstruct(d) - werner(1.0).matrix)) < 1e-12
-
-
-def test_canonicalize_already_diagonal():
-    omega = (0.5, -0.3, 0.1)
-    s, _, (ra, rb) = canonicalize_two_qubit(bell_diagonal(omega).matrix)
-    assert sorted(np.abs(s)) == pytest.approx(sorted(np.abs(omega)), abs=1e-10)
-    assert np.allclose(ra, 0, atol=1e-9)
-    assert np.allclose(rb, 0, atol=1e-9)
-
-
-def test_canonicalize_rotated_werner():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        u1, u2 = random_su2(rng), random_su2(rng)
-        u = kron(u1, u2)
-        rho = u @ werner(0.7).matrix @ u.conj().T
-        s, _, _ = canonicalize_two_qubit(rho)
-        assert np.allclose(np.abs(s), 0.7, atol=1e-9)
-
-
-def test_canonicalize_matches_svd_oracle():
-    rho = fixed_random_state().matrix
-    s, _, _ = canonicalize_two_qubit(rho)
-    corr = decompose(rho, (2, 2)).corr
-    ref = np.linalg.svd(corr, compute_uv=False)
-    assert np.allclose(sorted(np.abs(s))[::-1], ref, atol=1e-9)
-
-
-def test_canonicalize_local_rotations_diagonalize():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        rho = random_density(rng)
-        s, (ua, ub), (ra, rb) = canonicalize_two_qubit(rho)
-        u = kron(ua, ub)
-        rot = u.conj().T @ rho @ u
-        d = decompose(rot, (2, 2))
-        assert np.allclose(d.corr, np.diag(s), atol=1e-9)
-        assert np.allclose(d.alpha, ra, atol=1e-9)
-        assert np.allclose(d.beta, rb, atol=1e-9)
-
-
-def test_canonicalize_singular_values_locally_invariant():
-    rng = np.random.default_rng(13)
-    rho = random_density(rng)
-    s0, _, _ = canonicalize_two_qubit(rho)
-    for _ in range(5):
-        u = kron(random_su2(rng), random_su2(rng))
-        s, _, _ = canonicalize_two_qubit(u @ rho @ u.conj().T)
-        assert np.allclose(np.abs(s), np.abs(s0), atol=1e-9)
