@@ -220,6 +220,7 @@ def conditional_entropy_fn(rho: DensityMatrix):
                 continue
             disc = math.sqrt(max((a - d) ** 2
                                  + 4.0 * (b.real ** 2 + b.imag ** 2), 0.0))
+            disc = min(disc, p)  # a PSD block's eigenvalues lie in [0, p]
             for lam in (0.5 * (p - disc), 0.5 * (p + disc)):
                 if lam > 0.0:
                     total -= lam * log2(lam / p)
@@ -229,11 +230,13 @@ def conditional_entropy_fn(rho: DensityMatrix):
 
 
 def bell_conditional_entropy(omega, meas: VonNeumannMeasurement) -> float:
-    """Fast path for states (1/4)(I + sum w_j s_j x s_j).
+    """Closed-form cost for states (1/4)(I + sum w_j s_j x s_j).
 
     Both outcomes are equiprobable and share the entropy of a qubit with
     Bloch length xi = |(w_1 z_1, w_2 z_2, w_3 z_3)|, where z is the
-    measurement direction obtained by conjugation.
+    measurement direction obtained by conjugation (S. Luo, Phys. Rev. A
+    77, 042303, 2008).  A test reference for conditional_entropy_fn; no
+    production path calls it.
     """
     omega = np.asarray(omega, dtype=float)
     z = meas.bloch_direction()

@@ -1,10 +1,11 @@
 """Minimizers for the conditional-entropy cost over measurement angles.
 
 Costs are pure functions of a 3-vector of unconstrained hyperspherical
-angles.  Gradient descent uses either a finite-difference gradient of
-the full cost or the closed-form gradient available on the Bell-diagonal
-family; Nelder-Mead needs no gradient.  A brute-force sphere grid with
-local refinement serves as the independent verification oracle.
+angles.  Gradient descent uses finite differences of the general cost,
+which stay below GRAD_CLAMP at the default fd_step, so no caller or test
+reaches its golden-section step; the Bell analytic gradient is a test
+reference.  Nelder-Mead needs no gradient.  A brute-force sphere grid
+with local refinement serves as the independent verification oracle.
 """
 
 from __future__ import annotations

@@ -170,8 +170,8 @@ def save_state(rho: DensityMatrix, path) -> None:
 def read_state(path) -> DensityMatrix:
     """Parse the JSON density-matrix format without checking validity.
 
-    Raises ValueError if the file cannot be read or parsed, or if its
-    blocks do not match its dims.
+    Raises ValueError if the file cannot be read or parsed, if its
+    blocks do not match its dims, or if B is not a qubit.
     """
     try:
         with open(path) as f:
@@ -188,6 +188,8 @@ def read_state(path) -> DensityMatrix:
         raise ValueError(
             f"matrix blocks {re.shape}/{im.shape} do not match dims ({m},{n})"
         )
+    if n != 2:
+        raise ValueError("measurement acts on a 2-dimensional subsystem B")
     return DensityMatrix((m, n), re + 1j * im)
 
 

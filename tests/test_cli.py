@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def test_compute_writes_json_report(werner_file, tmp_path, capsys):
     assert code == 0
     data = json.loads(out_path.read_text())
     assert data["discord"] == pytest.approx(0.2624831838, abs=1e-8)
-    assert data["optimizer_stats"]["used_bell_fast_path"] is True
+    assert data["optimizer_stats"]["used_bell_fast_path"] is False
     assert data["optimizer_stats"]["converged"] is True
 
 
@@ -244,3 +245,40 @@ def test_sweep_omega_math_functions(tmp_path, capsys):
     # a = 0 gives omega = (0.5, 0, 0), a classical-classical state.
     assert len(rows) == 2
     assert float(rows[0].split(",")[3]) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_validate_and_compute_reject_non_qubit_b(tmp_path, capsys):
+    path = tmp_path / "mixed_2x3.json"
+    path.write_text(json.dumps({"dims": [2, 3],
+                                "re": (np.eye(6) / 6).tolist(),
+                                "im": np.zeros((6, 6)).tolist()}))
+    for command in ("validate", "compute"):
+        assert main([command, "--state", str(path)]) == 1
+        assert "2-dimensional subsystem B" in capsys.readouterr().err
+
+
+GOLDEN_SWEEPS = {
+    "werner": ["--family", "werner", "--start", "0", "--end", "1",
+               "--step", "0.1"],
+    "mixed_bell": ["--family", "mixed_bell", "--start", "0.05", "--end", "1",
+                   "--step", "0.1"],
+    "bell_diagonal": ["--family", "bell_diagonal", "--omega=-a,0.5*a,-0.3*a",
+                      "--start", "0", "--end", "0.5", "--step", "0.1"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SWEEPS))
+def test_sweep_matches_golden_csv(family, tmp_path, capsys, monkeypatch):
+    # tests/data pins the seeded answers byte for byte; the iteration
+    # count depends on the optimizer's path, not on the answer.
+    monkeypatch.delenv("QDISCORD_CONFIG", raising=False)
+    out_path = tmp_path / f"{family}.csv"
+    assert main(["sweep", *GOLDEN_SWEEPS[family], "--out", str(out_path)]) == 0
+    golden = Path(__file__).parent / "data" / f"sweep_{family}.csv"
+    skip = CSV_COLUMNS.index("iterations")
+
+    def rows(path):
+        return [[f for i, f in enumerate(line.split(",")) if i != skip]
+                for line in path.read_text().splitlines()]
+
+    assert rows(out_path) == rows(golden)

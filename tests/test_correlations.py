@@ -67,14 +67,6 @@ def test_mutual_information_bell_matches_general():
                    - mutual_information(bell_diagonal(omega))) < 1e-9
 
 
-def test_minimize_detects_bell_fast_path():
-    cfg = OptimizerConfig()
-    _, _, stats = minimize_conditional_entropy(werner(0.5), cfg)
-    assert stats.used_bell_fast_path
-    _, _, stats2 = minimize_conditional_entropy(fixed_random_state(), cfg)
-    assert not stats2.used_bell_fast_path
-
-
 def test_minimize_werner_closed_form():
     cfg = OptimizerConfig()
     for a in (0.2, 0.5, 0.8):

@@ -224,6 +224,16 @@ def test_bell_fast_path_equals_general():
         assert abs(fast - general) < 1e-9
 
 
+def test_precompiled_conditional_entropy_nonnegative_on_pure_blocks():
+    # Both states condition to rank-1 blocks, where rounding can push
+    # the 2x2 closed form's larger eigenvalue past the outcome weight.
+    rng = np.random.default_rng(65)
+    for rho in (werner(1.0), bell_diagonal((1, 1, -1))):
+        evaluate = conditional_entropy_fn(rho)
+        for _ in range(2000):
+            assert evaluate(random_measurement(rng)) >= 0.0
+
+
 def test_measurement_direction_unit_norm():
     rng = np.random.default_rng(70)
     for _ in range(100):
