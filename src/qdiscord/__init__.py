@@ -6,8 +6,8 @@ classical correlation and quantum discord follow.  See the README for
 the CLI and the acceptance suite.
 """
 
-from .correlations import (CorrelationReport, classical_correlation,
-                           mutual_information, quantum_discord)
+from .correlations import (CorrelationReport, mutual_information,
+                           quantum_discord)
 from .linalg import (binary_entropy, hermitian_eig, is_density_matrix, kron,
                      partial_trace, von_neumann_entropy)
 from .measurement import (MeasurementEnsemble, ProjectorPair,

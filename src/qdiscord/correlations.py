@@ -91,13 +91,6 @@ def _clamp_small_negative(value: float, clamped: list, name: str) -> float:
     return value
 
 
-def classical_correlation(rho: DensityMatrix, cfg: OptimizerConfig):
-    """(C, optimal measurement, optimizer stats), read off quantum_discord."""
-    report = quantum_discord(rho, cfg)
-    return (report.classical_correlation, report.optimal_measurement,
-            report.optimizer_stats)
-
-
 def quantum_discord(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
                     oracle_resolution: int | None = None) -> CorrelationReport:
     """Full report: I, C, QD = I - C, and optimizer diagnostics.

@@ -1,24 +1,24 @@
 """Minimizers for the conditional-entropy cost over measurement angles.
 
 Costs are pure functions of a 3-vector of unconstrained hyperspherical
-angles.  Gradient descent uses finite differences of the general cost,
-which stay below GRAD_CLAMP at the default fd_step, so no caller or test
-reaches its golden-section step; the Bell analytic gradient is a test
-reference.  Nelder-Mead needs no gradient.  A brute-force sphere grid
-with local refinement serves as the independent verification oracle.
+angles.  Gradient descent takes fixed steps with backtracking on
+finite differences of the general cost; the Bell analytic gradient is a
+test reference.  Nelder-Mead needs no gradient.  A brute-force sphere
+grid with local refinement, evaluated in batches of Bloch directions,
+serves as the independent verification oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .measurement import from_angles, from_bloch
 
 GRAD_CLAMP = 1e6
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def analytic_gradient_bell(omega, phi):
     """Gradient of h((1 + xi)/2) with xi = |omega * z(phi)|.
 
     Near xi = 1 the binary-entropy derivative diverges; components are
-    clamped to +-GRAD_CLAMP, which the descent loop treats as a signal
-    to switch to a line search.
+    clamped to +-GRAD_CLAMP so that they stay finite.
     """
     omega = np.asarray(omega, dtype=float)
     z, dz = _z_and_jacobian(phi)
@@ -120,33 +119,12 @@ def analytic_gradient_bell(omega, phi):
     return np.clip(dh * dxi, -GRAD_CLAMP, GRAD_CLAMP)
 
 
-def _golden_section(fline, a: float, b: float, tol: float, max_iter: int = 200):
-    """Golden-section minimization of a 1-D function on [a, b]."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = fline(x1), fline(x2)
-    it = 0
-    while b - a > tol and it < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fline(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fline(x2)
-        it += 1
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig) -> OptimizationResult:
     """Fixed-step descent with backtracking.
 
     A proposed step that would increase the cost is rejected and the
     learning rate halved (up to 20 halvings), so the accepted-value
-    sequence is non-increasing.  Saturated (clamped) gradients trigger a
-    golden-section search along the descent direction instead of a raw
-    step.
+    sequence is non-increasing.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     f = cost(theta)
@@ -161,14 +139,8 @@ def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig) -> OptimizationRe
         if gnorm < cfg.tol:
             converged = True
             break
-        if np.max(np.abs(g)) >= GRAD_CLAMP:
-            direction = g / gnorm
-            t, fv = _golden_section(
-                lambda t: cost(theta - t * direction), 0.0, math.pi, cfg.tol)
-            cand, fc = theta - t * direction, fv
-        else:
-            cand = theta - eta * g
-            fc = cost(cand)
+        cand = theta - eta * g
+        fc = cost(cand)
         if fc <= f + 1e-15:
             delta = f - fc
             theta, f = cand, fc
@@ -266,48 +238,55 @@ def multi_start(inner, cost, cfg: OptimizerConfig) -> OptimizationResult:
     return replace(best, iterations=total_iter)
 
 
-def grid_oracle(cost_of_measurement, resolution: int = 200):
+@lru_cache(maxsize=None)
+def _cell_grid(resolution: int):
+    """Cell centres (u, phi) of a resolution x resolution grid uniform in
+    (u = cos theta, phi), in row-major (u, phi) order, and their Bloch
+    directions; built on first use for each resolution."""
+    cells = np.arange(resolution) + 0.5
+    u = np.repeat(-1.0 + cells * (2.0 / resolution), resolution)
+    phi = np.tile(cells * (2.0 * math.pi / resolution), resolution)
+    grid = (u, phi, _bloch_directions(u, phi))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
+
+
+def _bloch_directions(u, phi):
+    u = np.clip(u, -1.0, 1.0)
+    s = np.sqrt(np.maximum(1.0 - u * u, 0.0))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), u], axis=1)
+
+
+def grid_oracle(cost_of_directions, resolution: int = 200):
     """Brute-force minimum of a measurement cost over the Bloch sphere.
 
-    Evaluates cell centers of a resolution x resolution grid uniform in
-    (cos theta, phi), then refines with three levels of 3x subdivision
-    around the best cell.  Returns (min value, argmin measurement).
+    `cost_of_directions` maps an (N, 3) array of unit Bloch directions
+    to N costs, as the evaluator of conditional_entropy_fn does.  It is
+    called once on the cell centres of a resolution x resolution grid
+    uniform in (cos theta, phi), then once per level of three levels of
+    3x3 refinement around the best point.  Ties go to the first point in
+    row-major order.  Returns (min value, argmin measurement).
     """
     if resolution < 8:
         raise ValueError("oracle resolution must be at least 8")
-
-    def eval_direction(u, phi):
-        u = max(min(u, 1.0), -1.0)
-        s = math.sqrt(max(1.0 - u * u, 0.0))
-        meas = from_bloch((s * math.cos(phi), s * math.sin(phi), u))
-        return cost_of_measurement(meas), meas
-
-    best_val = math.inf
-    best_meas = None
-    best_cell = (0.0, 0.0)
-    du = 2.0 / resolution
-    dphi = 2.0 * math.pi / resolution
-    for i in range(resolution):
-        u = -1.0 + (i + 0.5) * du
-        for j in range(resolution):
-            phi = (j + 0.5) * dphi
-            val, meas = eval_direction(u, phi)
-            if val < best_val:
-                best_val, best_meas, best_cell = val, meas, (u, phi)
-
-    u0, phi0 = best_cell
-    wu, wphi = du, dphi
+    u, phi, directions = _cell_grid(resolution)
+    values = cost_of_directions(directions)
+    k = int(np.argmin(values))
+    best_val, best_dir = float(values[k]), directions[k]
+    u0, phi0 = u[k], phi[k]
+    wu, wphi = 2.0 / resolution, 2.0 * math.pi / resolution
+    # The 3x3 steps in row-major order, so ties again go to the first.
+    di, dj = np.repeat([-1.0, 0.0, 1.0], 3), np.tile([-1.0, 0.0, 1.0], 3)
     for _ in range(3):
-        level_best = None
-        for i in (-1, 0, 1):
-            for j in (-1, 0, 1):
-                uc, pc = u0 + i * wu / 3.0, phi0 + j * wphi / 3.0
-                val, meas = eval_direction(uc, pc)
-                if level_best is None or val < level_best[0]:
-                    level_best = (val, meas, uc, pc)
-        if level_best[0] < best_val:
-            best_val, best_meas = level_best[0], level_best[1]
-        u0, phi0 = level_best[2], level_best[3]
+        uc = u0 + di * wu / 3.0
+        pc = phi0 + dj * wphi / 3.0
+        level_dirs = _bloch_directions(uc, pc)
+        values = cost_of_directions(level_dirs)
+        k = int(np.argmin(values))
+        if values[k] < best_val:
+            best_val, best_dir = float(values[k]), level_dirs[k]
+        u0, phi0 = uc[k], pc[k]
         wu /= 3.0
         wphi /= 3.0
-    return best_val, best_meas
+    return best_val, from_bloch(best_dir)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdiscord.correlations import (CorrelationReport, classical_correlation,
+from qdiscord.correlations import (CorrelationReport,
                                    minimize_conditional_entropy,
                                    mutual_information, quantum_discord)
 from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
@@ -77,7 +77,7 @@ def test_minimize_werner_closed_form():
 def test_classical_correlation_werner():
     cfg = OptimizerConfig()
     for a in (0.3, 0.7):
-        c, _, _ = classical_correlation(werner(a), cfg)
+        c = quantum_discord(werner(a), cfg).classical_correlation
         assert c == pytest.approx(1.0 - binary_entropy((1 + a) / 2), abs=1e-8)
 
 
@@ -87,7 +87,7 @@ def test_classical_correlation_nonnegative_and_bounded():
     for _ in range(5):
         omega = random_valid_omega(rng)
         rho = bell_diagonal(omega)
-        c, _, _ = classical_correlation(rho, cfg)
+        c = quantum_discord(rho, cfg).classical_correlation
         assert 0.0 <= c <= mutual_information(rho) + 1e-9
 
 

@@ -232,6 +232,10 @@ def test_precompiled_conditional_entropy_nonnegative_on_pure_blocks():
         evaluate = conditional_entropy_fn(rho)
         for _ in range(2000):
             assert evaluate(random_measurement(rng)) >= 0.0
+        # The array form, on 2,000 unit Bloch directions at once.
+        dirs = rng.normal(size=(2000, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        assert np.min(evaluate(dirs)) >= 0.0
 
 
 def test_measurement_direction_unit_norm():
