@@ -10,8 +10,7 @@ from .correlations import (CorrelationReport, mutual_information,
                            quantum_discord)
 from .linalg import (binary_entropy, hermitian_eig, is_density_matrix, kron,
                      partial_trace, von_neumann_entropy)
-from .measurement import (MeasurementEnsemble, ProjectorPair,
-                          VonNeumannMeasurement, apply_measurement,
+from .measurement import (ProjectorPair, VonNeumannMeasurement,
                           bell_conditional_entropy, conditional_entropy,
                           conditional_entropy_fn, from_angles, from_bloch,
                           projectors)

@@ -6,7 +6,7 @@ Subcommands:
   oracle    brute-force minimum conditional entropy for a state file
   validate  density-matrix validity check with exit code
 
-Exit codes: 0 success, 1 input error, 2 optimizer non-convergence.
+Exit codes: 0 success, 1 input or usage error, 2 optimizer non-convergence.
 Flag values override the optional JSON config file (path from --config
 or the QDISCORD_CONFIG environment variable), which overrides defaults.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 from .correlations import quantum_discord
 from .linalg import von_neumann_entropy
 from .measurement import conditional_entropy_fn
-from .optimizer import OptimizerConfig, grid_oracle
+from .optimizer import METHODS, OptimizerConfig, grid_oracle
 from .states import (DensityMatrix, bell_diagonal, load_state,
                      mixed_bell_family, read_state, werner)
 
@@ -66,10 +66,8 @@ def _build_run_config(args) -> RunConfig:
 
     opt_cfg = dict(file_cfg.get("optimizer", {}))
     defaults = OptimizerConfig()
-    for name, flag in (("method", "method"), ("eta", "eta"), ("tol", "tol"),
-                       ("max_iter", "max_iter"), ("restarts", "restarts"),
-                       ("seed", "seed")):
-        value = getattr(args, flag, None)
+    for name in ("method", "tol", "max_iter", "restarts", "seed"):
+        value = getattr(args, name, None)
         if value is not None:
             opt_cfg[name] = value
     known = {f.name for f in fields(OptimizerConfig)}
@@ -300,25 +298,31 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_INPUT_ERROR
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("gradient_descent", "nelder_mead",
-                                        "grid_then_polish"))
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--oracle-resolution", dest="oracle_resolution", type=int)
-    p.add_argument("--oracle", action="store_true", default=False)
-    p.add_argument("--out", dest="out")
-    p.add_argument("--plot-script", dest="plot_script", action="store_true",
-                   default=None)
-    p.add_argument("--tolerance-input", dest="tolerance_input", type=float)
-    p.add_argument("--config")
+# The flags each subcommand reads, named by argparse after the flag
+# ("--max-iter" -> max_iter); _build_run_config treats an absent one as unset.
+_FLAGS = {"--method": {"choices": METHODS}, "--tol": {"type": float},
+          "--max-iter": {"type": int}, "--restarts": {"type": int},
+          "--seed": {"type": int}, "--oracle": {"action": "store_true"},
+          "--oracle-resolution": {"type": int}, "--out": {},
+          "--plot-script": {"action": "store_true", "default": None},
+          "--tolerance-input": {"type": float}, "--config": {}}
+_MINIMIZE_FLAGS = ("--method", "--tol", "--max-iter", "--restarts", "--seed",
+                   "--oracle", "--oracle-resolution", "--out")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error, not exit 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdiscord",
         description="Classical correlation and quantum discord of bipartite "
                     "states via measurement optimization.")
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="full report for a state file")
     p.add_argument("--state", required=True)
-    _add_common_flags(p)
+    _add_flags(p, _MINIMIZE_FLAGS + ("--tolerance-input", "--config"))
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("sweep", help="CSV sweep over a state family")
@@ -338,17 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega",
                    help="three comma-separated expressions in 'a' "
                         "(bell_diagonal only)")
-    _add_common_flags(p)
+    _add_flags(p, _MINIMIZE_FLAGS + ("--plot-script", "--config"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle", help="brute-force minimum for a state file")
     p.add_argument("--state", required=True)
-    _add_common_flags(p)
+    _add_flags(p, ("--oracle-resolution", "--tolerance-input", "--config"))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("validate", help="validity report for a state file")
     p.add_argument("--state", required=True)
-    _add_common_flags(p)
+    _add_flags(p, ("--tolerance-input", "--config"))
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -13,9 +13,7 @@ from dataclasses import dataclass, replace
 from .linalg import von_neumann_entropy
 from .measurement import (VonNeumannMeasurement, conditional_entropy_fn,
                           from_angles, hyperspherical_angles)
-from .optimizer import (OptimizerConfig, finite_diff_gradient,
-                        gradient_descent, grid_oracle, multi_start,
-                        nelder_mead)
+from .optimizer import OptimizerConfig, grid_oracle, multi_start, nelder_mead
 from .states import DensityMatrix
 
 NEGATIVE_CLAMP = 1e-9
@@ -53,8 +51,8 @@ def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig):
     """Minimum conditional entropy and the optimizing measurement.
 
     Every state is minimized through the precompiled evaluator of
-    conditional_entropy_fn; gradient descent uses finite-difference
-    gradients of it.
+    conditional_entropy_fn, by Nelder-Mead from multiple starts or from
+    the best point of a coarse grid.
     """
     evaluate = conditional_entropy_fn(rho)
 
@@ -65,15 +63,8 @@ def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig):
         # The coarse grid already covers the sphere; restarts add nothing.
         _, coarse = grid_oracle(evaluate, resolution=24)
         res = nelder_mead(cost, hyperspherical_angles(coarse), cfg)
-    elif cfg.method == "nelder_mead":
+    else:  # nelder_mead
         res = multi_start(nelder_mead, cost, cfg)
-    else:  # gradient_descent
-        def descend(c, theta0, c_cfg):
-            return gradient_descent(
-                c, lambda t: finite_diff_gradient(c, t, c_cfg.fd_step),
-                theta0, c_cfg)
-
-        res = multi_start(descend, cost, cfg)
     meas = from_angles(res.best_params)
     stats = OptimizerStats(
         method=cfg.method,

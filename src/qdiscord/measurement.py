@@ -107,34 +107,6 @@ def projectors(meas: VonNeumannMeasurement) -> ProjectorPair:
     )
 
 
-@dataclass(frozen=True)
-class MeasurementEnsemble:
-    """Outcome probabilities and post-measurement states.
-
-    Outcomes with probability below PROB_FLOOR carry rho_j = None and
-    are excluded from entropy sums.
-    """
-
-    outcomes: tuple
-
-
-def apply_measurement(rho: DensityMatrix, pair: ProjectorPair) -> MeasurementEnsemble:
-    m, n = rho.dims
-    if n != 2:
-        raise ValueError("measurement acts on a 2-dimensional subsystem B")
-    outcomes = []
-    im = np.eye(m)
-    for pi in (pair.pi0, pair.pi1):
-        full = kron(im, pi)
-        projected = full @ rho.matrix @ full
-        p = float(np.trace(projected).real)
-        if p < PROB_FLOOR:
-            outcomes.append((max(p, 0.0), None))
-        else:
-            outcomes.append((p, DensityMatrix(rho.dims, projected / p)))
-    return MeasurementEnsemble(tuple(outcomes))
-
-
 def conditional_entropy(rho: DensityMatrix,
                         meas: VonNeumannMeasurement) -> float:
     """sum_j p_j S(rho_j) for the two projective outcomes on B.

@@ -1,11 +1,11 @@
 """Minimizers for the conditional-entropy cost over measurement angles.
 
 Costs are pure functions of a 3-vector of unconstrained hyperspherical
-angles.  Gradient descent takes fixed steps with backtracking on
-finite differences of the general cost; the Bell analytic gradient is a
-test reference.  Nelder-Mead needs no gradient.  A brute-force sphere
-grid with local refinement, evaluated in batches of Bloch directions,
-serves as the independent verification oracle.
+angles.  Nelder-Mead, from multiple starts or polishing a coarse grid
+point, is the minimizer that reports use.  A brute-force sphere grid
+with local refinement, evaluated in batches of Bloch directions, serves
+as the independent verification oracle.  Gradient descent, finite
+differences and the Bell analytic gradient are test references.
 """
 
 from __future__ import annotations
@@ -16,29 +16,29 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measurement import from_angles, from_bloch
+from .measurement import (PAULIS, from_angles, from_bloch,
+                          hyperspherical_angles)
 
 GRAD_CLAMP = 1e6
+METHODS = ("nelder_mead", "grid_then_polish")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str = "nelder_mead"
-    eta: float = 0.05
-    fd_step: float = 1e-6
     tol: float = 1e-8
     max_iter: int = 5000
     restarts: int = 8
     seed: int = 42
 
     def __post_init__(self):
-        if self.eta <= 0 or self.fd_step <= 0 or self.tol <= 0:
-            raise ValueError("eta, fd_step and tol must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.max_iter < 1 or self.restarts < 1:
             raise ValueError("max_iter and restarts must be at least 1")
-        if self.method not in ("gradient_descent", "nelder_mead",
-                               "grid_then_polish"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected "
+                             f"one of {', '.join(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ def _z_and_jacobian(phi):
     z is read off V sigma_z V^dag; each derivative uses the product rule
     with dV built from the hyperspherical Jacobian.
     """
-    from .measurement import PAULIS
-
     meas = from_angles(phi)
     v = meas.unitary()
     jac4 = _hyperspherical_jacobian(np.asarray(phi, dtype=float))
@@ -119,16 +117,19 @@ def analytic_gradient_bell(omega, phi):
     return np.clip(dh * dxi, -GRAD_CLAMP, GRAD_CLAMP)
 
 
-def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig) -> OptimizationResult:
-    """Fixed-step descent with backtracking.
+def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig,
+                     eta: float = 0.05) -> OptimizationResult:
+    """Fixed-step descent with backtracking from step size eta.
 
-    A proposed step that would increase the cost is rejected and the
-    learning rate halved (up to 20 halvings), so the accepted-value
-    sequence is non-increasing.
+    A step that would increase the cost is rejected and eta halved (up
+    to 20 halvings), so the accepted values never increase.  A step that
+    gains less than cfg.tol counts as converged, so it can stop on a
+    stall above the minimum.  No report uses it.
     """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
     theta = np.asarray(theta0, dtype=float).copy()
     f = cost(theta)
-    eta = cfg.eta
     halvings = 0
     trace = [(0, f)]
     converged = False
@@ -222,8 +223,6 @@ def multi_start(inner, cost, cfg: OptimizerConfig) -> OptimizationResult:
     Ties resolve to the earliest start, so the outcome is deterministic
     for a fixed seed regardless of evaluation order.
     """
-    from .measurement import hyperspherical_angles
-
     starts = [hyperspherical_angles(from_bloch(d)) for d in _AXIS_DIRECTIONS]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.restarts):

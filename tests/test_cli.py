@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdiscord.cli import CSV_COLUMNS, main
+from qdiscord.cli import CSV_COLUMNS, build_parser, main
 from qdiscord.states import save_state, werner
 
 
@@ -174,9 +175,9 @@ def test_flags_override_config_file(werner_file, tmp_path, capsys):
     cfg_path.write_text(json.dumps({"optimizer": {"method": "nelder_mead"}}))
     out_path = tmp_path / "r.json"
     assert main(["compute", "--state", werner_file, "--config", str(cfg_path),
-                 "--method", "gradient_descent", "--out", str(out_path)]) == 0
+                 "--method", "grid_then_polish", "--out", str(out_path)]) == 0
     data = json.loads(out_path.read_text())
-    assert data["optimizer_stats"]["method"] == "gradient_descent"
+    assert data["optimizer_stats"]["method"] == "grid_then_polish"
 
 
 def test_config_env_var(werner_file, tmp_path, capsys, monkeypatch):
@@ -282,3 +283,59 @@ def test_sweep_matches_golden_csv(family, tmp_path, capsys, monkeypatch):
                 for line in path.read_text().splitlines()]
 
     assert rows(out_path) == rows(golden)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute"],
+    ["compute", "--state", "s.json", "--method", "gradient_descent"],
+    ["validate", "--state", "s.json", "--restarts", "3"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    # Exit status 2 means "optimizer did not converge", so a usage error
+    # must not use argparse's default status 2.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    assert exc.value.code == 0
+    assert "--state" in capsys.readouterr().out
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    minimize = {"--method", "--tol", "--max-iter", "--restarts", "--seed",
+                "--oracle", "--oracle-resolution", "--out", "--config"}
+    expected = {
+        "compute": minimize | {"--state", "--tolerance-input"},
+        "sweep": minimize | {"--family", "--start", "--end", "--step",
+                             "--omega", "--plot-script"},
+        "oracle": {"--state", "--oracle-resolution", "--tolerance-input",
+                   "--config"},
+        "validate": {"--state", "--tolerance-input", "--config"},
+    }
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(expected)
+    for name, sub in subparsers.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == expected[name], name
+
+
+def test_config_rejects_removed_optimizer_options(werner_file, tmp_path,
+                                                  capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"optimizer": {"eta": 0.1}}))
+    assert main(["compute", "--state", werner_file,
+                 "--config", str(cfg_path)]) == 1
+    assert "unknown optimizer config keys" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(
+        {"optimizer": {"method": "gradient_descent"}}))
+    assert main(["compute", "--state", werner_file,
+                 "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "nelder_mead" in err and "grid_then_polish" in err

@@ -151,7 +151,7 @@ def test_discord_local_unitary_invariance():
 def test_discord_methods_agree():
     rho = mixed_bell_family(0.4)
     vals = []
-    for method in ("nelder_mead", "gradient_descent", "grid_then_polish"):
+    for method in ("nelder_mead", "grid_then_polish"):
         report = quantum_discord(rho, OptimizerConfig(method=method))
         vals.append(report.min_conditional_entropy)
     assert max(vals) - min(vals) < 1e-6

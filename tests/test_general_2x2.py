@@ -1,0 +1,56 @@
+"""Physical invariants of quantum_discord on general two-qubit states.
+
+Ginibre states of every rank 1-4 under the default optimizer settings:
+the report must satisfy I = C + QD, 0 <= C <= min(S(rho_A), 1) and
+QD >= 0, and a local unitary U_A x U_B must leave I, C and QD unchanged.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdiscord.correlations import quantum_discord
+from qdiscord.linalg import kron, von_neumann_entropy
+from qdiscord.states import DensityMatrix
+
+PROPERTY = settings(max_examples=16, deadline=None, derandomize=True,
+                    database=None)
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+ranks = st.integers(min_value=1, max_value=4)
+
+
+def ginibre_state(rng, rank):
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def haar_unitary(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def assert_invariants(rho):
+    report = quantum_discord(rho)
+    mi = report.mutual_information
+    c = report.classical_correlation
+    qd = report.discord
+    s_a = von_neumann_entropy(rho.marginal("A"))
+    assert abs(mi - (c + qd)) < 1e-9
+    assert -1e-9 <= c <= min(s_a, 1.0) + 1e-9
+    assert qd >= -1e-9
+    return np.array([mi, c, qd])
+
+
+@PROPERTY
+@given(seed=seeds, rank=ranks)
+def test_invariants_and_local_unitary_invariance(seed, rank):
+    rng = np.random.default_rng(seed)
+    matrix = ginibre_state(rng, rank)
+    u = kron(haar_unitary(rng), haar_unitary(rng))
+    base = assert_invariants(DensityMatrix((2, 2), matrix))
+    rotated = assert_invariants(
+        DensityMatrix((2, 2), u @ matrix @ u.conj().T))
+    assert np.max(np.abs(rotated - base)) < 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
-from qdiscord.measurement import (apply_measurement, apply_superop_vectorized,
+from qdiscord.measurement import (PROB_FLOOR, apply_superop_vectorized,
                                   bell_conditional_entropy,
                                   conditional_entropy, conditional_entropy_fn,
                                   from_angles,
@@ -109,43 +109,6 @@ def test_measurement_rejects_off_sphere():
         VonNeumannMeasurement(1.0, (0.5, 0.0, 0.0))
 
 
-def test_apply_measurement_product_state():
-    rng = np.random.default_rng(3)
-    ga = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho_a = ga @ ga.conj().T
-    rho_a /= np.trace(rho_a).real
-    ket0 = np.zeros((2, 2), dtype=complex)
-    ket0[0, 0] = 1
-    rho = DensityMatrix((2, 2), kron(rho_a, ket0))
-    ens = apply_measurement(rho, projectors(from_angles((0, 0, 0))))
-    (p0, rho0), (p1, rho1) = ens.outcomes
-    assert p0 == pytest.approx(1.0, abs=1e-12)
-    assert p1 == pytest.approx(0.0, abs=1e-12)
-    assert rho1 is None
-    assert np.max(np.abs(rho0.matrix - rho.matrix)) < 1e-12
-
-
-def test_apply_measurement_werner_equiprobable():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        ens = apply_measurement(werner(rng.uniform(0, 1)),
-                                projectors(random_measurement(rng)))
-        probs = [p for p, _ in ens.outcomes]
-        assert probs[0] == pytest.approx(0.5, abs=1e-12)
-        assert probs[1] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_apply_measurement_against_index_oracle():
-    # Computational-basis outcome probabilities are just diagonal sums.
-    rho = fixed_random_state()
-    ens = apply_measurement(rho, projectors(from_angles((0, 0, 0))))
-    m = rho.matrix
-    assert ens.outcomes[0][0] == pytest.approx((m[0, 0] + m[2, 2]).real,
-                                               abs=1e-12)
-    assert ens.outcomes[1][0] == pytest.approx((m[1, 1] + m[3, 3]).real,
-                                               abs=1e-12)
-
-
 def test_conditional_entropy_product_state():
     rng = np.random.default_rng(19)
     for _ in range(50):
@@ -171,15 +134,20 @@ def test_conditional_entropy_werner_flat():
 
 def test_conditional_entropy_matches_ensemble_route():
     # Cross-check the fast marginal contraction against the full
-    # projected-state route through apply_measurement.
+    # projected states kron(I, Pi) rho kron(I, Pi) of both outcomes.
     rng = np.random.default_rng(30)
     for _ in range(20):
         rho = random_state(rng)
         meas = random_measurement(rng)
         direct = conditional_entropy(rho, meas)
-        ens = apply_measurement(rho, projectors(meas))
-        slow = sum(p * von_neumann_entropy(r.matrix)
-                   for p, r in ens.outcomes if r is not None)
+        pair = projectors(meas)
+        slow = 0.0
+        for pi in (pair.pi0, pair.pi1):
+            full = kron(np.eye(2), pi)
+            projected = full @ rho.matrix @ full
+            p = float(np.trace(projected).real)
+            if p >= PROB_FLOOR:
+                slow += p * von_neumann_entropy(projected / p)
         assert direct == pytest.approx(slow, abs=1e-10)
 
 

@@ -29,9 +29,12 @@ def quadratic(theta):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(eta=-1)
+        gradient_descent(quadratic, lambda t: 2.0 * t, np.array([1.0]),
+                         OptimizerConfig(), eta=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(method="newton")
+    with pytest.raises(ValueError, match="nelder_mead.*grid_then_polish"):
+        OptimizerConfig(method="gradient_descent")
 
 
 def test_finite_diff_quadratic():
@@ -93,11 +96,10 @@ def test_analytic_gradient_stationary_at_oracle_argmin():
 
 
 def test_gradient_descent_quadratic_bowl():
-    cfg = OptimizerConfig(method="gradient_descent", eta=0.1, tol=1e-10,
-                          max_iter=200)
+    cfg = OptimizerConfig(tol=1e-10, max_iter=200)
     res = gradient_descent(quadratic,
                            lambda t: finite_diff_gradient(quadratic, t, 1e-6),
-                           np.array([2.0, -1.5]), cfg)
+                           np.array([2.0, -1.5]), cfg, eta=0.1)
     assert res.converged
     assert res.best_value < 1e-8
     # Accepted values never increase.
@@ -112,7 +114,7 @@ def test_gradient_descent_flat_werner():
     def cost(theta):
         return conditional_entropy(w, from_angles(theta))
 
-    cfg = OptimizerConfig(method="gradient_descent")
+    cfg = OptimizerConfig()
     res = gradient_descent(cost,
                            lambda t: finite_diff_gradient(cost, t, 1e-6),
                            np.array([0.3, 0.9, 1.4]), cfg)
@@ -127,7 +129,7 @@ def test_gradient_descent_bell_vs_oracle():
     def cost(theta):
         return bell_conditional_entropy(omega, from_angles(theta))
 
-    cfg = OptimizerConfig(method="gradient_descent", max_iter=5000)
+    cfg = OptimizerConfig(max_iter=5000)
     res = multi_start(
         lambda c, t0, cc: gradient_descent(
             c, lambda t: analytic_gradient_bell(omega, t), t0, cc),
@@ -156,8 +158,8 @@ def test_nelder_mead_matches_gradient_descent():
     nm = multi_start(nelder_mead, cost, cfg)
     gd = multi_start(
         lambda c, t0, cc: gradient_descent(
-            c, lambda t: finite_diff_gradient(c, t, cc.fd_step), t0, cc),
-        cost, OptimizerConfig(method="gradient_descent"))
+            c, lambda t: finite_diff_gradient(c, t, 1e-6), t0, cc),
+        cost, OptimizerConfig())
     assert abs(nm.best_value - gd.best_value) < 1e-6
 
 
