@@ -11,9 +11,9 @@ from .correlations import (CorrelationReport, mutual_information,
 from .linalg import (binary_entropy, hermitian_eig, is_density_matrix, kron,
                      partial_trace, von_neumann_entropy)
 from .measurement import (ProjectorPair, VonNeumannMeasurement,
-                          bell_conditional_entropy, conditional_entropy,
-                          conditional_entropy_fn, from_angles, from_bloch,
-                          projectors)
+                          bell_conditional_entropy, bloch_of_angles,
+                          conditional_entropy, conditional_entropy_fn,
+                          from_angles, from_bloch, projectors)
 from .optimizer import (OptimizationResult, OptimizerConfig,
                         analytic_gradient_bell, finite_diff_gradient,
                         gradient_descent, grid_oracle, multi_start,

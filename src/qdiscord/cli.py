@@ -42,7 +42,7 @@ CSV_COLUMNS = ("param", "mutual_information", "classical_correlation",
 
 @dataclass(frozen=True)
 class RunConfig:
-    optimizer: OptimizerConfig
+    optimizer: OptimizerConfig | None  # None where nothing is minimised
     oracle_resolution: int = 200
     output_path: str | None = None
     emit_plot_script: bool = False
@@ -58,14 +58,8 @@ def _load_config_file(path) -> dict:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
 
 
-def _build_run_config(args) -> RunConfig:
-    file_cfg: dict = {}
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        file_cfg = _load_config_file(path)
-
+def _optimizer_config(args, file_cfg: dict) -> OptimizerConfig:
     opt_cfg = dict(file_cfg.get("optimizer", {}))
-    defaults = OptimizerConfig()
     for name in ("method", "tol", "max_iter", "restarts", "seed"):
         value = getattr(args, name, None)
         if value is not None:
@@ -74,7 +68,17 @@ def _build_run_config(args) -> RunConfig:
     unknown = set(opt_cfg) - known
     if unknown:
         raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
-    optimizer = replace(defaults, **opt_cfg)
+    return replace(OptimizerConfig(), **opt_cfg)
+
+
+def _build_run_config(args, minimizes: bool) -> RunConfig:
+    """Flags over the config file over defaults.  The optimizer section
+    is built, and checked, only for the subcommands that minimise."""
+    file_cfg: dict = {}
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    if path:
+        file_cfg = _load_config_file(path)
+    optimizer = _optimizer_config(args, file_cfg) if minimizes else None
 
     def pick(flag, key, fallback):
         value = getattr(args, flag, None)
@@ -118,7 +122,7 @@ def _report_dict(report) -> dict:
 
 
 def cmd_compute(args) -> int:
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(args, minimizes=True)
     rho = load_state(args.state, cfg.input_tolerance)
     report = quantum_discord(
         rho, cfg.optimizer,
@@ -220,7 +224,7 @@ def _sweep_params(start: float, end: float, step: float):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(args, minimizes=True)
     omega_exprs = args.omega.split(",") if args.omega else None
     params = _sweep_params(args.start, args.end, args.step)
     all_converged = True
@@ -274,7 +278,7 @@ def _plot_script(csv_name: str) -> str:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(args, minimizes=False)
     rho = load_state(args.state, cfg.input_tolerance)
     value, meas = grid_oracle(conditional_entropy_fn(rho),
                               cfg.oracle_resolution)
@@ -289,7 +293,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(args, minimizes=False)
     report = read_state(args.state).validity(cfg.input_tolerance)
     print(f"hermiticity defect {report.hermiticity_defect:.6e}")
     print(f"trace defect       {report.trace_defect:.6e}")

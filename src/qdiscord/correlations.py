@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .linalg import von_neumann_entropy
-from .measurement import (VonNeumannMeasurement, conditional_entropy_fn,
-                          from_angles, hyperspherical_angles)
+from .measurement import (VonNeumannMeasurement, bloch_of_angles,
+                          conditional_entropy_fn, from_angles,
+                          hyperspherical_angles)
 from .optimizer import OptimizerConfig, grid_oracle, multi_start, nelder_mead
 from .states import DensityMatrix
 
@@ -52,12 +53,13 @@ def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig):
 
     Every state is minimized through the precompiled evaluator of
     conditional_entropy_fn, by Nelder-Mead from multiple starts or from
-    the best point of a coarse grid.
+    the best point of a coarse grid.  The cost maps the angles straight
+    to a Bloch direction; only the reported measurement is built.
     """
     evaluate = conditional_entropy_fn(rho)
 
     def cost(theta):
-        return evaluate(from_angles(theta))
+        return evaluate(bloch_of_angles(theta))
 
     if cfg.method == "grid_then_polish":
         # The coarse grid already covers the sphere; restarts add nothing.

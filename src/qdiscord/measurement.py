@@ -52,15 +52,31 @@ class VonNeumannMeasurement:
         return np.array([0.5 * np.trace(s @ m).real for s in PAULIS])
 
 
+def _unit_of_angles(phi):
+    p1, p2, p3 = map(float, phi)
+    s1 = math.sin(p1)
+    return (math.cos(p1), s1 * math.cos(p2),
+            s1 * math.sin(p2) * math.cos(p3), s1 * math.sin(p2) * math.sin(p3))
+
+
+def _bloch_of_unit(r, y1, y2, y3):
+    """Bloch direction of the first projector of the measurement (r, y):
+    z rotated by V = r I + i (y . sigma), written out."""
+    return (2.0 * (-r * y2 + y1 * y3),
+            2.0 * (r * y1 + y2 * y3),
+            r * r + y3 * y3 - y1 * y1 - y2 * y2)
+
+
 def from_angles(phi) -> VonNeumannMeasurement:
     """Hyperspherical map from three unconstrained angles onto the sphere."""
-    p1, p2, p3 = (float(x) for x in phi)
-    r = math.cos(p1)
-    s1 = math.sin(p1)
-    y1 = s1 * math.cos(p2)
-    y2 = s1 * math.sin(p2) * math.cos(p3)
-    y3 = s1 * math.sin(p2) * math.sin(p3)
+    r, y1, y2, y3 = _unit_of_angles(phi)
     return VonNeumannMeasurement(r, (y1, y2, y3))
+
+
+def bloch_of_angles(phi) -> tuple[float, float, float]:
+    """Bloch direction of from_angles(phi)'s first projector as a 3-tuple,
+    with the same arithmetic but without building the measurement."""
+    return _bloch_of_unit(*_unit_of_angles(phi))
 
 
 def hyperspherical_angles(meas: VonNeumannMeasurement) -> np.ndarray:
@@ -154,9 +170,11 @@ def conditional_entropy_fn(rho: DensityMatrix):
     three Paulis once makes each later evaluation a few m x m operations.
     Agrees with conditional_entropy to machine precision.
 
-    The evaluator takes either a VonNeumannMeasurement, returning a
-    float, or an (N, 3) array of unit Bloch directions, returning the N
-    entropies in one vectorised pass (the grid oracle's form).
+    The evaluator takes a VonNeumannMeasurement or a 3-tuple of floats,
+    one unit Bloch direction (the form bloch_of_angles returns), and
+    returns a float; or an (N, 3) array of unit Bloch directions, and
+    returns the N entropies in one vectorised pass (the grid oracle's
+    form).
     """
     m, n = rho.dims
     if n != 2:
@@ -178,16 +196,10 @@ def conditional_entropy_fn(rho: DensityMatrix):
             ent = _outcome_entropies(np.linalg.eigvalsh(blocks), p)
             return ent.sum(axis=0)
 
-        def evaluate(meas):
-            if not isinstance(meas, VonNeumannMeasurement):
-                return evaluate_batch(np.asarray(meas, dtype=float))
-            r, (y1, y2, y3) = meas.r, meas.y
-            z = (2.0 * (-r * y2 + y1 * y3),
-                 2.0 * (r * y1 + y2 * y3),
-                 r * r + y3 * y3 - y1 * y1 - y2 * y2)
-            return float(evaluate_batch(np.array([z]))[0])
+        def evaluate_one(z1, z2, z3):
+            return float(evaluate_batch(np.array([(z1, z2, z3)]))[0])
 
-        return evaluate
+        return _evaluator(evaluate_one, evaluate_batch)
 
     # Two-dimensional A: each contracted matrix is Hermitian, so carry
     # its real diagonal and one off-diagonal entry as plain scalars and
@@ -214,13 +226,7 @@ def conditional_entropy_fn(rho: DensityMatrix):
         lam = 0.5 * np.stack((p - disc, p + disc), axis=-1)
         return _outcome_entropies(lam, p).sum(axis=0)
 
-    def evaluate(meas):
-        if not isinstance(meas, VonNeumannMeasurement):
-            return evaluate_batch(np.asarray(meas, dtype=float))
-        r, (y1, y2, y3) = meas.r, meas.y
-        z1 = 2.0 * (-r * y2 + y1 * y3)
-        z2 = 2.0 * (r * y1 + y2 * y3)
-        z3 = r * r + y3 * y3 - y1 * y1 - y2 * y2
+    def evaluate_one(z1, z2, z3):
         az = z1 * aa[1] + z2 * aa[2] + z3 * aa[3]
         dz = z1 * dd[1] + z2 * dd[2] + z3 * dd[3]
         bz = z1 * bb[1] + z2 * bb[2] + z3 * bb[3]
@@ -239,6 +245,19 @@ def conditional_entropy_fn(rho: DensityMatrix):
                 if lam > 0.0:
                     total -= lam * log2(lam / p)
         return total
+
+    return _evaluator(evaluate_one, evaluate_batch)
+
+
+def _evaluator(evaluate_one, evaluate_batch):
+    """One entry point for the three input forms of the evaluator."""
+
+    def evaluate(z):
+        if isinstance(z, tuple):
+            return evaluate_one(*z)
+        if isinstance(z, VonNeumannMeasurement):
+            return evaluate_one(*_bloch_of_unit(z.r, *z.y))
+        return evaluate_batch(np.asarray(z, dtype=float))
 
     return evaluate
 

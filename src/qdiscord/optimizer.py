@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -159,34 +160,39 @@ def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig,
 
 def nelder_mead(cost, theta0, cfg: OptimizerConfig) -> OptimizationResult:
     """Simplex search: reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2; converged when the simplex diameter falls below cfg.tol."""
-    theta0 = np.asarray(theta0, dtype=float)
-    n = theta0.size
-    simplex = [theta0.copy()]
-    for k in range(n):
-        p = theta0.copy()
-        p[k] += 0.5
-        simplex.append(p)
+    shrink 1/2; converged when the simplex diameter falls below cfg.tol.
+
+    The simplex is kept as tuples of floats, so `cost` receives a tuple;
+    `best_params` is an array.  Sums run left to right, as numpy's mean
+    over the vertices does.  (A BLAS dot may fuse the diameter's
+    multiply-adds and round it one ulp apart; only the test against
+    cfg.tol reads it.)
+    """
+    x0 = tuple(np.asarray(theta0, dtype=float).tolist())
+    n = len(x0)
+    simplex = [x0] + [x0[:k] + (x0[k] + 0.5,) + x0[k + 1:] for k in range(n)]
     values = [cost(p) for p in simplex]
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        order = np.argsort(values, kind="stable")
+        order = sorted(range(n + 1), key=values.__getitem__)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
+        best = simplex[0]
         diameter = max(
-            math.sqrt(float((p - simplex[0]) @ (p - simplex[0])))
+            math.sqrt(reduce(add, [(a - b) * (a - b)
+                                   for a, b in zip(p, best)]))
             for p in simplex[1:]
         )
         if diameter < cfg.tol:
             converged = True
             break
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = [reduce(add, c) / n for c in zip(*simplex[:-1])]
         worst, f_worst = simplex[-1], values[-1]
-        xr = centroid + (centroid - worst)
+        xr = tuple(c + (c - w) for c, w in zip(centroid, worst))
         fr = cost(xr)
         if fr < values[0]:
-            xe = centroid + 2.0 * (centroid - worst)
+            xe = tuple(c + 2.0 * (c - w) for c, w in zip(centroid, worst))
             fe = cost(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
@@ -195,19 +201,18 @@ def nelder_mead(cost, theta0, cfg: OptimizerConfig) -> OptimizationResult:
         elif fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
         else:
-            if fr < f_worst:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (worst - centroid)
+            toward = xr if fr < f_worst else worst
+            xc = tuple(c + 0.5 * (t - c) for c, t in zip(centroid, toward))
             fc = cost(xc)
             if fc < min(fr, f_worst):
                 simplex[-1], values[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    simplex[i] = tuple(b + 0.5 * (a - b)
+                                       for a, b in zip(simplex[i], best))
                     values[i] = cost(simplex[i])
-    best = int(np.argmin(values))
-    return OptimizationResult(simplex[best], values[best], it, converged)
+    k = min(range(n + 1), key=values.__getitem__)
+    return OptimizationResult(np.array(simplex[k]), values[k], it, converged)
 
 
 _AXIS_DIRECTIONS = (

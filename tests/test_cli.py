@@ -339,3 +339,15 @@ def test_config_rejects_removed_optimizer_options(werner_file, tmp_path,
                  "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "nelder_mead" in err and "grid_then_polish" in err
+
+
+def test_validate_and_oracle_ignore_optimizer_config(werner_file, tmp_path,
+                                                     capsys):
+    # Neither subcommand reads the optimizer, so a key it would reject
+    # does not stop them; compute still rejects it (test above).
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"optimizer": {"eta": 0.1}}))
+    assert main(["validate", "--state", werner_file,
+                 "--config", str(cfg_path)]) == 0
+    assert main(["oracle", "--state", werner_file, "--oracle-resolution",
+                 "16", "--config", str(cfg_path)]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
 from qdiscord.measurement import (PROB_FLOOR, apply_superop_vectorized,
-                                  bell_conditional_entropy,
+                                  bell_conditional_entropy, bloch_of_angles,
                                   conditional_entropy, conditional_entropy_fn,
                                   from_angles,
                                   from_bloch, hyperspherical_angles,
@@ -204,6 +204,20 @@ def test_precompiled_conditional_entropy_nonnegative_on_pure_blocks():
         dirs = rng.normal(size=(2000, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         assert np.min(evaluate(dirs)) >= 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evaluator_takes_bloch_tuple_of_angles(m):
+    rng = np.random.default_rng(80 + m)
+    evaluate = conditional_entropy_fn(random_state(rng, (m, 2)))
+    for phi in rng.uniform(-2 * math.pi, 2 * math.pi, (50, 3)):
+        z = bloch_of_angles(phi)
+        assert type(z) is tuple and len(z) == 3
+        meas = from_angles(phi)
+        value = evaluate(z)
+        assert type(value) is float
+        assert value == evaluate(meas)
+        assert np.max(np.abs(np.array(z) - meas.bloch_direction())) < 1e-14
 
 
 def test_measurement_direction_unit_norm():

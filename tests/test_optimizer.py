@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import binary_entropy
-from qdiscord.measurement import (bell_conditional_entropy,
+from qdiscord.measurement import (bell_conditional_entropy, bloch_of_angles,
                                   conditional_entropy, conditional_entropy_fn,
-                                  from_angles, from_bloch)
+                                  from_angles, from_bloch,
+                                  hyperspherical_angles)
 from qdiscord.optimizer import (OptimizerConfig, analytic_gradient_bell,
                                 finite_diff_gradient, gradient_descent,
                                 grid_oracle, multi_start, nelder_mead)
-from qdiscord.states import bell_diagonal, werner
+from qdiscord.states import DensityMatrix, bell_diagonal, werner
+from tests.reference import nelder_mead as array_nelder_mead
 
 
 def random_valid_omega(rng):
@@ -144,6 +146,50 @@ def test_nelder_mead_parabola():
     res = nelder_mead(lambda t: (t[0] - 0.0) ** 2, np.array([3.0]), cfg)
     assert res.converged
     assert abs(res.best_params[0]) < 1e-6
+
+
+def assert_same_path(cost, reference_cost, theta0, cfg):
+    """The tuple simplex ends where the array simplex ends, bit for bit,
+    after the same number of iterations."""
+    res = nelder_mead(cost, theta0, cfg)
+    ref = array_nelder_mead(reference_cost, theta0, cfg)
+    assert isinstance(res.best_params, np.ndarray)
+    assert res.best_params.tolist() == ref.best_params.tolist()
+    assert res.best_value == ref.best_value
+    assert res.iterations == ref.iterations
+    assert res.converged == ref.converged
+
+
+def test_nelder_mead_takes_the_array_path_on_test_functions():
+    def parabola(t):
+        return (t[0] - 0.0) * (t[0] - 0.0)
+
+    def rosenbrock(t):
+        return ((1.0 - t[0]) * (1.0 - t[0])
+                + 100.0 * (t[1] - t[0] * t[0]) * (t[1] - t[0] * t[0]))
+
+    cfg = OptimizerConfig(tol=1e-8, max_iter=500)
+    assert_same_path(parabola, parabola, np.array([3.0]), cfg)
+    assert_same_path(rosenbrock, rosenbrock, np.array([-1.2, 1.0]),
+                     OptimizerConfig())
+
+
+@pytest.mark.parametrize("m, seed", [(2, 0), (2, 1), (2, 2), (3, 0)])
+def test_nelder_mead_takes_the_array_path_on_measurement_costs(m, seed):
+    # The production cost (angles straight to a Bloch tuple) against the
+    # array simplex driving the measurement-building cost it replaced.
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2 * m, 2 * m)) + 1j * rng.normal(size=(2 * m, 2 * m))
+    rho = g @ g.conj().T
+    evaluate = conditional_entropy_fn(
+        DensityMatrix((m, 2), rho / np.trace(rho).real))
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    starts = [hyperspherical_angles(from_bloch(d)) for d in axes]
+    starts += list(rng.uniform(0.0, 2.0 * math.pi, size=(2, 3)))
+    for theta0 in starts:
+        assert_same_path(lambda t: evaluate(bloch_of_angles(t)),
+                         lambda t: evaluate(from_angles(t)), theta0,
+                         OptimizerConfig())
 
 
 def test_nelder_mead_matches_gradient_descent():
