@@ -20,7 +20,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 
 from .correlations import quantum_discord
 from .linalg import von_neumann_entropy
@@ -38,62 +37,88 @@ EXIT_NOT_CONVERGED = 2
 CSV_COLUMNS = ("param", "mutual_information", "classical_correlation",
                "discord", "min_conditional_entropy",
                "oracle_min_conditional_entropy", "iterations", "converged")
+MAX_SWEEP_ROWS = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    optimizer: OptimizerConfig | None  # None where nothing is minimised
-    oracle_resolution: int = 200
-    output_path: str | None = None
-    emit_plot_script: bool = False
-    use_oracle: bool = False
-    input_tolerance: float = 1e-6
+_MINIMIZE = ("compute", "sweep")
+
+# The one table of options: flag, config-file key (None: flag only),
+# JSON type (a tuple: one of its strings), default, and the subcommands
+# that read it.  An optimizer default of None is OptimizerConfig's own.
+# Ranges are checked where each value is used, not here.
+_OPTIONS = (
+    ("--method", "optimizer.method", METHODS, None, _MINIMIZE),
+    ("--tol", "optimizer.tol", float, None, _MINIMIZE),
+    ("--max-iter", "optimizer.max_iter", int, None, _MINIMIZE),
+    ("--restarts", "optimizer.restarts", int, None, _MINIMIZE),
+    ("--seed", "optimizer.seed", int, None, _MINIMIZE),
+    ("--oracle", None, bool, False, _MINIMIZE),
+    ("--oracle-resolution", "oracle_resolution", int, 200,
+     _MINIMIZE + ("oracle",)),
+    ("--out", "output_path", str, None, _MINIMIZE),
+    ("--plot-script", "emit_plot_script", bool, False, ("sweep",)),
+    ("--tolerance-input", "input_tolerance", float, 1e-6,
+     ("compute", "oracle", "validate")),
+    ("--config", None, str, None, ("compute", "sweep", "oracle", "validate")),
+)
+
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string")}
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+def _file_value(key: str, kind, value):
+    """A config-file value of its row's JSON type; a bool is no number."""
+    if isinstance(kind, tuple):
+        ok, expected = value in kind, "one of " + ", ".join(kind)
+    else:
+        types, expected = _JSON_TYPES[kind]
+        ok = type(value) in types
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {expected}, "
+                         f"not {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
-def _optimizer_config(args, file_cfg: dict) -> OptimizerConfig:
-    opt_cfg = dict(file_cfg.get("optimizer", {}))
-    for name in ("method", "tol", "max_iter", "restarts", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            opt_cfg[name] = value
-    known = {f.name for f in fields(OptimizerConfig)}
-    unknown = set(opt_cfg) - known
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _resolve_options(args) -> None:
+    """Set on args each option its subcommand reads: the flag over the
+    config file (path from --config or QDISCORD_CONFIG) over the default.
+    Keys the subcommand does not read are ignored."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    top: dict = {}
+    if path:
+        try:
+            with open(path) as f:
+                top = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    top = _json_object(top, f"config file {path}")
+    minimizes = args.command in _MINIMIZE
+    section = _json_object(top.get("optimizer", {}) if minimizes else {},
+                           "config key 'optimizer'")
+    optimizer = {}
+    for flag, key, kind, default, commands in _OPTIONS:
+        if args.command not in commands:
+            continue
+        dest = flag[2:].replace("-", "_")
+        in_section, _, name = (key or "").rpartition(".")
+        values = section if in_section else top
+        if getattr(args, dest) is None:
+            setattr(args, dest, _file_value(key, kind, values[name])
+                    if key and name in values else default)
+        if in_section:
+            optimizer[name] = getattr(args, dest)
+    unknown = set(section) - set(optimizer)
     if unknown:
         raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
-    return replace(OptimizerConfig(), **opt_cfg)
-
-
-def _build_run_config(args, minimizes: bool) -> RunConfig:
-    """Flags over the config file over defaults.  The optimizer section
-    is built, and checked, only for the subcommands that minimise."""
-    file_cfg: dict = {}
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        file_cfg = _load_config_file(path)
-    optimizer = _optimizer_config(args, file_cfg) if minimizes else None
-
-    def pick(flag, key, fallback):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return file_cfg.get(key, fallback)
-
-    return RunConfig(
-        optimizer=optimizer,
-        oracle_resolution=int(pick("oracle_resolution", "oracle_resolution", 200)),
-        output_path=pick("out", "output_path", None),
-        emit_plot_script=bool(pick("plot_script", "emit_plot_script", False)),
-        use_oracle=bool(getattr(args, "oracle", False)),
-        input_tolerance=float(pick("tolerance_input", "input_tolerance", 1e-6)),
-    )
+    if minimizes:
+        args.optimizer = OptimizerConfig(
+            **{k: v for k, v in optimizer.items() if v is not None})
 
 
 def _fmt(x: float) -> str:
@@ -122,11 +147,10 @@ def _report_dict(report) -> dict:
 
 
 def cmd_compute(args) -> int:
-    cfg = _build_run_config(args, minimizes=True)
-    rho = load_state(args.state, cfg.input_tolerance)
+    rho = load_state(args.state, args.tolerance_input)
     report = quantum_discord(
-        rho, cfg.optimizer,
-        oracle_resolution=cfg.oracle_resolution if cfg.use_oracle else None)
+        rho, args.optimizer,
+        oracle_resolution=args.oracle_resolution if args.oracle else None)
     print(f"mutual information      {_fmt(report.mutual_information)} bits")
     print(f"classical correlation   {_fmt(report.classical_correlation)} bits")
     print(f"quantum discord         {_fmt(report.discord)} bits")
@@ -139,8 +163,8 @@ def cmd_compute(args) -> int:
           f"converged={stats.converged}")
     if stats.oracle_gap is not None:
         print(f"oracle gap              {stats.oracle_gap:+.3e}")
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as f:
+    if args.out:
+        with open(args.out, "w") as f:
             json.dump(_report_dict(report), f, indent=1)
             f.write("\n")
     return EXIT_OK if stats.converged else EXIT_NOT_CONVERGED
@@ -191,10 +215,6 @@ def _eval_omega(expr: str, a: float) -> float:
                          f"{exc}") from exc
 
 
-def _omega_at(exprs, a: float):
-    return tuple(_eval_omega(e, a) for e in exprs)
-
-
 def _family_state(family: str, a: float, omega_exprs) -> DensityMatrix:
     if family == "werner":
         return werner(a)
@@ -203,15 +223,19 @@ def _family_state(family: str, a: float, omega_exprs) -> DensityMatrix:
     if family == "bell_diagonal":
         if not omega_exprs:
             raise ValueError("bell_diagonal sweep needs --omega")
-        return bell_diagonal(_omega_at(omega_exprs, a))
+        return bell_diagonal(tuple(_eval_omega(e, a) for e in omega_exprs))
     raise ValueError(f"unknown family {family!r}")
 
 
 def _sweep_params(start: float, end: float, step: float):
+    if not all(map(math.isfinite, (start, end, step))):
+        raise ValueError("start, end and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if start > end:
         raise ValueError("start must not exceed end")
+    if (end - start) / step >= MAX_SWEEP_ROWS:
+        raise ValueError(f"a sweep has at most {MAX_SWEEP_ROWS} rows")
     out = []
     k = 0
     while True:
@@ -224,7 +248,6 @@ def _sweep_params(start: float, end: float, step: float):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _build_run_config(args, minimizes=True)
     omega_exprs = args.omega.split(",") if args.omega else None
     params = _sweep_params(args.start, args.end, args.step)
     all_converged = True
@@ -234,10 +257,10 @@ def cmd_sweep(args) -> int:
             rho = _family_state(args.family, a, omega_exprs)
         except ValueError as exc:
             raise ValueError(f"invalid state at parameter {a}: {exc}") from exc
-        report = quantum_discord(rho, cfg.optimizer)
-        if cfg.use_oracle:
+        report = quantum_discord(rho, args.optimizer)
+        if args.oracle:
             oracle_val, _ = grid_oracle(conditional_entropy_fn(rho),
-                                        cfg.oracle_resolution)
+                                        args.oracle_resolution)
             oracle_field = _fmt(oracle_val)
         else:
             oracle_field = ""
@@ -254,11 +277,11 @@ def cmd_sweep(args) -> int:
             "true" if stats.converged else "false",
         ]))
     csv_text = "\n".join(lines) + "\n"
-    out_path = cfg.output_path or "sweep.csv"
+    out_path = args.out or "sweep.csv"
     with open(out_path, "w") as f:
         f.write(csv_text)
     print(f"wrote {len(params)} rows to {out_path}")
-    if cfg.emit_plot_script:
+    if args.plot_script:
         script_path = out_path + ".gp"
         with open(script_path, "w") as f:
             f.write(_plot_script(os.path.basename(out_path)))
@@ -278,13 +301,12 @@ def _plot_script(csv_name: str) -> str:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _build_run_config(args, minimizes=False)
-    rho = load_state(args.state, cfg.input_tolerance)
+    rho = load_state(args.state, args.tolerance_input)
     value, meas = grid_oracle(conditional_entropy_fn(rho),
-                              cfg.oracle_resolution)
+                              args.oracle_resolution)
     direction = meas.bloch_direction()
     print(f"grid minimum conditional entropy {_fmt(value)} bits "
-          f"(resolution {cfg.oracle_resolution}, refined)")
+          f"(resolution {args.oracle_resolution}, refined)")
     print(f"optimal projector direction      ({direction[0]:+.6f}, "
           f"{direction[1]:+.6f}, {direction[2]:+.6f})")
     print(f"marginal entropy S(rho_A)        "
@@ -293,25 +315,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _build_run_config(args, minimizes=False)
-    report = read_state(args.state).validity(cfg.input_tolerance)
+    report = read_state(args.state).validity(args.tolerance_input)
     print(f"hermiticity defect {report.hermiticity_defect:.6e}")
     print(f"trace defect       {report.trace_defect:.6e}")
     print(f"min eigenvalue     {report.min_eigenvalue:.6e}")
     print(f"valid at tol {report.tol:.1e}: {report.valid}")
     return EXIT_OK if report.valid else EXIT_INPUT_ERROR
-
-
-# The flags each subcommand reads, named by argparse after the flag
-# ("--max-iter" -> max_iter); _build_run_config treats an absent one as unset.
-_FLAGS = {"--method": {"choices": METHODS}, "--tol": {"type": float},
-          "--max-iter": {"type": int}, "--restarts": {"type": int},
-          "--seed": {"type": int}, "--oracle": {"action": "store_true"},
-          "--oracle-resolution": {"type": int}, "--out": {},
-          "--plot-script": {"action": "store_true", "default": None},
-          "--tolerance-input": {"type": float}, "--config": {}}
-_MINIMIZE_FLAGS = ("--method", "--tol", "--max-iter", "--restarts", "--seed",
-                   "--oracle", "--oracle-resolution", "--out")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,51 +329,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_flags(p: argparse.ArgumentParser, names) -> None:
-    for name in names:
-        p.add_argument(name, **_FLAGS[name])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qdiscord",
         description="Classical correlation and quantum discord of bipartite "
                     "states via measurement optimization.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="full report for a state file")
-    p.add_argument("--state", required=True)
-    _add_flags(p, _MINIMIZE_FLAGS + ("--tolerance-input", "--config"))
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("sweep", help="CSV sweep over a state family")
-    p.add_argument("--family", required=True,
-                   choices=("werner", "mixed_bell", "bell_diagonal"))
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--end", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--omega",
-                   help="three comma-separated expressions in 'a' "
-                        "(bell_diagonal only)")
-    _add_flags(p, _MINIMIZE_FLAGS + ("--plot-script", "--config"))
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("oracle", help="brute-force minimum for a state file")
-    p.add_argument("--state", required=True)
-    _add_flags(p, ("--oracle-resolution", "--tolerance-input", "--config"))
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("validate", help="validity report for a state file")
-    p.add_argument("--state", required=True)
-    _add_flags(p, ("--tolerance-input", "--config"))
-    p.set_defaults(func=cmd_validate)
-
+    for name, func, help_text in (
+            ("compute", cmd_compute, "full report for a state file"),
+            ("sweep", cmd_sweep, "CSV sweep over a state family"),
+            ("oracle", cmd_oracle, "brute-force minimum for a state file"),
+            ("validate", cmd_validate, "validity report for a state file")):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name == "sweep":
+            p.add_argument("--family", required=True,
+                           choices=("werner", "mixed_bell", "bell_diagonal"))
+            for flag in ("--start", "--end", "--step"):
+                p.add_argument(flag, type=float, required=True)
+            p.add_argument("--omega",
+                           help="three comma-separated expressions in 'a' "
+                                "(bell_diagonal only)")
+        else:
+            p.add_argument("--state", required=True)
+        for flag, _, kind, _, commands in _OPTIONS:
+            if name in commands:
+                p.add_argument(flag, **(
+                    {"action": "store_true", "default": None} if kind is bool
+                    else {"choices": kind} if isinstance(kind, tuple)
+                    else {"type": kind}))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve_options(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

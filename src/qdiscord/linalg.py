@@ -139,6 +139,8 @@ class ValidityReport:
 
 def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> ValidityReport:
     """Report Hermiticity, trace and positivity defects of a square matrix."""
+    if not tol > 0:
+        raise ValueError(f"input tolerance must be positive, not {tol}")
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError("density matrix candidate must be square")

@@ -22,6 +22,10 @@ from .measurement import (PAULIS, from_angles, from_bloch,
 
 GRAD_CLAMP = 1e6
 METHODS = ("nelder_mead", "grid_then_polish")
+# grid_oracle's resolution range.  A scan holds resolution**2 directions
+# at about 330 B each on a 2x2 state and 780 B on a 3x2 state, so the cap
+# keeps it near 330 MB and 780 MB.
+MIN_ORACLE_RESOLUTION, MAX_ORACLE_RESOLUTION = 8, 1000
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,10 @@ def grid_oracle(cost_of_directions, resolution: int = 200):
     3x3 refinement around the best point.  Ties go to the first point in
     row-major order.  Returns (min value, argmin measurement).
     """
-    if resolution < 8:
-        raise ValueError("oracle resolution must be at least 8")
+    if not MIN_ORACLE_RESOLUTION <= resolution <= MAX_ORACLE_RESOLUTION:
+        raise ValueError("oracle resolution must be from "
+                         f"{MIN_ORACLE_RESOLUTION} to {MAX_ORACLE_RESOLUTION}, "
+                         f"not {resolution}")
     u, phi, directions = _cell_grid(resolution)
     values = cost_of_directions(directions)
     k = int(np.argmin(values))

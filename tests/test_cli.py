@@ -1,11 +1,13 @@
 import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdiscord.cli import CSV_COLUMNS, build_parser, main
+from qdiscord.cli import (_OPTIONS, CSV_COLUMNS, MAX_SWEEP_ROWS, _sweep_params,
+                          build_parser, main)
 from qdiscord.states import save_state, werner
 
 
@@ -270,19 +272,13 @@ GOLDEN_SWEEPS = {
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_SWEEPS))
 def test_sweep_matches_golden_csv(family, tmp_path, capsys, monkeypatch):
-    # tests/data pins the seeded answers byte for byte; the iteration
-    # count depends on the optimizer's path, not on the answer.
+    # tests/data pins the seeded sweeps byte for byte, the optimizer's
+    # iteration counts included.
     monkeypatch.delenv("QDISCORD_CONFIG", raising=False)
     out_path = tmp_path / f"{family}.csv"
     assert main(["sweep", *GOLDEN_SWEEPS[family], "--out", str(out_path)]) == 0
     golden = Path(__file__).parent / "data" / f"sweep_{family}.csv"
-    skip = CSV_COLUMNS.index("iterations")
-
-    def rows(path):
-        return [[f for i, f in enumerate(line.split(",")) if i != skip]
-                for line in path.read_text().splitlines()]
-
-    assert rows(out_path) == rows(golden)
+    assert out_path.read_bytes() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -351,3 +347,122 @@ def test_validate_and_oracle_ignore_optimizer_config(werner_file, tmp_path,
                  "--config", str(cfg_path)]) == 0
     assert main(["oracle", "--state", werner_file, "--oracle-resolution",
                  "16", "--config", str(cfg_path)]) == 0
+
+
+SUBCOMMAND_ARGS = {
+    "compute": [], "oracle": [], "validate": [],
+    "sweep": ["--family", "werner", "--start", "0.5", "--end", "0.5",
+              "--step", "1", "--out", "sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("config, named, exits", [
+    # Each subcommand either rejects the value with an error line that
+    # names the key (exit 1) or does not read the key (exit 0).
+    ({"optimizer": 5}, "'optimizer'",
+     {"compute": 1, "sweep": 1, "oracle": 0, "validate": 0}),
+    ({"optimizer": {"tol": "abc"}}, "'optimizer.tol'",
+     {"compute": 1, "validate": 0}),
+    ([1], "must be a JSON object",
+     {"compute": 1, "sweep": 1, "oracle": 1, "validate": 1}),
+    ({"input_tolerance": None}, "'input_tolerance'",
+     {"compute": 1, "sweep": 0, "oracle": 1, "validate": 1}),
+    ({"emit_plot_script": "false"}, "'emit_plot_script'",
+     {"sweep": 1, "compute": 0}),
+    ({"oracle_resolution": "x"}, "'oracle_resolution'",
+     {"validate": 0, "oracle": 1, "compute": 1}),
+    ({"optimizer": {"max_iter": 2.5}}, "'optimizer.max_iter'",
+     {"compute": 1, "sweep": 1}),
+    ({"optimizer": {"seed": "x"}}, "'optimizer.seed'",
+     {"compute": 1, "oracle": 0}),
+    ({"optimizer": {"tol": True}}, "'optimizer.tol'", {"compute": 1}),
+    ({"input_tolerance": -1}, "input tolerance",
+     {"validate": 1, "compute": 1, "sweep": 0}),
+])
+def test_config_values_are_type_checked(config, named, exits, werner_file,
+                                        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    for command, code in exits.items():
+        argv = [command, *SUBCOMMAND_ARGS[command], "--config", str(cfg_path)]
+        if command != "sweep":
+            argv += ["--state", werner_file]
+        assert main(argv) == code, (command, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error:") and named in err, (command, err)
+    assert not (tmp_path / "sweep.csv.gp").exists()
+
+
+def test_config_booleans_and_output_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"emit_plot_script": True,
+                                    "output_path": "from_file.csv"}))
+    assert main(["sweep", "--family", "werner", "--start", "0.5", "--end",
+                 "0.5", "--step", "1", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "from_file.csv").exists()
+    assert (tmp_path / "from_file.csv.gp").exists()
+
+
+def test_negative_input_tolerance_is_an_error(werner_file, capsys):
+    for command in ("validate", "compute", "oracle"):
+        assert main([command, "--state", werner_file,
+                     "--tolerance-input", "-1"]) == 1
+        assert "error: input tolerance must be positive" in \
+            capsys.readouterr().err
+
+
+def test_oracle_resolution_above_cap_is_an_error(werner_file, capsys):
+    assert main(["oracle", "--state", werner_file,
+                 "--oracle-resolution", "1001"]) == 1
+    assert "error: oracle resolution must be from 8 to 1000" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, end, step, message", [
+    ("0", "1", "nan", "finite"),
+    ("0", "inf", "1", "finite"),
+    ("-inf", "1", "1", "finite"),
+    ("0", "1", "1e-9", "at most 10000 rows"),
+    ("0", "1e300", "1e-300", "at most 10000 rows"),
+    ("-1e308", "1e308", "1", "at most 10000 rows"),
+])
+def test_sweep_grid_is_bounded(start, end, step, message, tmp_path, capsys):
+    out_path = tmp_path / "x.csv"
+    assert main(["sweep", "--family", "werner", f"--start={start}",
+                 f"--end={end}", f"--step={step}",
+                 "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out_path.exists()
+
+
+def test_sweep_of_exactly_the_row_cap_is_accepted():
+    assert len(_sweep_params(0.0, 1.0, 1.0 / (MAX_SWEEP_ROWS - 1))) \
+        == MAX_SWEEP_ROWS
+
+
+def _readme_section(start, end):
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    return text.split(start, 1)[1].split(end, 1)[0]
+
+
+def test_readme_flag_table_matches_parser():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    rows = re.findall(r"^\| `(\w+)` \| (`--.*) \|$",
+                      _readme_section("## CLI", "### Config file"), re.M)
+    assert {name: set(re.findall(r"`(--[\w-]+)`", flags))
+            for name, flags in rows} == {
+        name: {s for a in sub._actions for s in a.option_strings}
+        - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+
+
+def test_readme_config_keys_match_option_table():
+    rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)` \| .+ \| ([\w, ]+) \|$",
+                      _readme_section("### Config file", "\n## "), re.M)
+    assert sorted((key, flag, tuple(commands.split(", ")))
+                  for key, flag, commands in rows) == sorted(
+        (key, flag, commands) for flag, key, _, _, commands in _OPTIONS if key)

@@ -175,3 +175,9 @@ def test_density_matrix_report():
     assert bad.trace_defect == pytest.approx(1.0)
     assert bad.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
     assert is_density_matrix(werner(1.0).matrix).valid
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_density_matrix_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        is_density_matrix(werner(0.5).matrix, tol)

@@ -227,6 +227,14 @@ def test_grid_oracle_flat_costs():
         grid_oracle(conditional_entropy_fn(w), 4)
 
 
+def test_grid_oracle_rejects_resolution_above_cap_before_scanning():
+    def cost(directions):
+        raise AssertionError("the cost must not be called")
+
+    with pytest.raises(ValueError, match="from 8 to 1000"):
+        grid_oracle(cost, 1001)
+
+
 def test_grid_oracle_dominant_axis():
     # No state has this omega (bell_diagonal rejects it), but the closed
     # form is defined for it; the oracle takes it one direction at a time.
