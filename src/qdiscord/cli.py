@@ -250,21 +250,20 @@ def _sweep_params(start: float, end: float, step: float):
 def cmd_sweep(args) -> int:
     omega_exprs = args.omega.split(",") if args.omega else None
     params = _sweep_params(args.start, args.end, args.step)
-    all_converged = True
-    lines = [",".join(CSV_COLUMNS)]
-    for a in params:
+    states = []
+    for a in params:  # every row's state before any row is minimized
         try:
-            rho = _family_state(args.family, a, omega_exprs)
+            states.append(_family_state(args.family, a, omega_exprs))
         except ValueError as exc:
             raise ValueError(f"invalid state at parameter {a}: {exc}") from exc
-        report = quantum_discord(rho, args.optimizer)
-        if args.oracle:
-            oracle_val, _ = grid_oracle(conditional_entropy_fn(rho),
-                                        args.oracle_resolution)
-            oracle_field = _fmt(oracle_val)
-        else:
-            oracle_field = ""
+    all_converged = True
+    lines = [",".join(CSV_COLUMNS)]
+    for a, rho in zip(params, states):
+        report = quantum_discord(
+            rho, args.optimizer,
+            oracle_resolution=args.oracle_resolution if args.oracle else None)
         stats = report.optimizer_stats
+        oracle_val = stats.oracle_min_conditional_entropy
         all_converged = all_converged and stats.converged
         lines.append(",".join([
             _fmt(a),
@@ -272,7 +271,7 @@ def cmd_sweep(args) -> int:
             _fmt(report.classical_correlation),
             _fmt(report.discord),
             _fmt(report.min_conditional_entropy),
-            oracle_field,
+            "" if oracle_val is None else _fmt(oracle_val),
             str(stats.iterations),
             "true" if stats.converged else "false",
         ]))

@@ -29,6 +29,7 @@ class OptimizerStats:
     used_bell_fast_path: bool = False  # always: there is one cost route
     clamped_values: tuple = ()
     oracle_gap: float | None = None
+    oracle_min_conditional_entropy: float | None = None
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,14 @@ def mutual_information(rho: DensityMatrix) -> float:
             - von_neumann_entropy(rho.matrix))
 
 
-def minimize_conditional_entropy(rho: DensityMatrix, cfg: OptimizerConfig):
+def minimize_conditional_entropy(evaluate, cfg: OptimizerConfig):
     """Minimum conditional entropy and the optimizing measurement.
 
-    Every state is minimized through the precompiled evaluator of
-    conditional_entropy_fn, by Nelder-Mead from multiple starts or from
-    the best point of a coarse grid.  The cost maps the angles straight
-    to a Bloch direction; only the reported measurement is built.
+    `evaluate` is a state's evaluator from conditional_entropy_fn.  It is
+    minimized by Nelder-Mead from multiple starts or from the best point
+    of a coarse grid.  The cost maps the angles straight to a Bloch
+    direction; only the reported measurement is built.
     """
-    evaluate = conditional_entropy_fn(rho)
-
     def cost(theta):
         return evaluate(bloch_of_angles(theta))
 
@@ -90,20 +89,25 @@ def quantum_discord(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
 
     C is S(rho_A) minus the minimum conditional entropy over
     measurements.  When oracle_resolution is given the grid oracle is
-    also run and its gap to the optimizer recorded in the stats.
+    also run, on the minimizer's own evaluator, and its minimum and its
+    gap to the optimizer are recorded in the stats.  It runs first, so a
+    resolution out of range fails before the search; the evaluator is
+    pure, so the order changes no value.
     """
     cfg = cfg or OptimizerConfig()
+    evaluate = conditional_entropy_fn(rho)
+    oracle_val = gap = None
+    if oracle_resolution is not None:
+        oracle_val, _ = grid_oracle(evaluate, oracle_resolution)
     mi = mutual_information(rho)
-    min_ent, meas, stats = minimize_conditional_entropy(rho, cfg)
+    min_ent, meas, stats = minimize_conditional_entropy(evaluate, cfg)
     clamped: list = []
     c = _clamp_small_negative(
         von_neumann_entropy(rho.marginal("A")) - min_ent, clamped,
         "classical_correlation")
     qd = _clamp_small_negative(mi - c, clamped, "discord")
-    gap = None
-    if oracle_resolution is not None:
-        oracle_val, _ = grid_oracle(conditional_entropy_fn(rho),
-                                    oracle_resolution)
+    if oracle_val is not None:
         gap = min_ent - oracle_val
-    stats = replace(stats, clamped_values=tuple(clamped), oracle_gap=gap)
+    stats = replace(stats, clamped_values=tuple(clamped), oracle_gap=gap,
+                    oracle_min_conditional_entropy=oracle_val)
     return CorrelationReport(mi, c, qd, min_ent, meas, stats)

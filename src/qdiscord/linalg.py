@@ -17,6 +17,12 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 PSD_TOL = 1e-8
 
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
@@ -139,8 +145,9 @@ class ValidityReport:
 
 def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> ValidityReport:
     """Report Hermiticity, trace and positivity defects of a square matrix."""
-    if not tol > 0:
-        raise ValueError(f"input tolerance must be positive, not {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"input tolerance must be positive and finite, "
+                         f"not {tol}")
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError("density matrix candidate must be square")

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import binary_entropy, kron, von_neumann_entropy
+from .linalg import PAULIS, binary_entropy, kron, von_neumann_entropy
 from .states import DensityMatrix, VectorizedState, devectorize
-
-PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 PROB_FLOOR = 1e-12
 

@@ -17,8 +17,8 @@ from operator import add
 
 import numpy as np
 
-from .measurement import (PAULIS, from_angles, from_bloch,
-                          hyperspherical_angles)
+from .linalg import PAULIS
+from .measurement import from_angles, from_bloch, hyperspherical_angles
 
 GRAD_CLAMP = 1e6
 METHODS = ("nelder_mead", "grid_then_polish")
@@ -37,8 +37,9 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, "
+                             f"not {self.tol}")
         if self.max_iter < 1 or self.restarts < 1:
             raise ValueError("max_iter and restarts must be at least 1")
         if self.method not in METHODS:
@@ -246,11 +247,12 @@ def multi_start(inner, cost, cfg: OptimizerConfig) -> OptimizationResult:
     return replace(best, iterations=total_iter)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _cell_grid(resolution: int):
     """Cell centres (u, phi) of a resolution x resolution grid uniform in
     (u = cos theta, phi), in row-major (u, phi) order, and their Bloch
-    directions; built on first use for each resolution."""
+    directions.  The two most recent resolutions stay cached, enough for
+    the grid_then_polish seed and a report's oracle."""
     cells = np.arange(resolution) + 0.5
     u = np.repeat(-1.0 + cells * (2.0 / resolution), resolution)
     phi = np.tile(cells * (2.0 * math.pi / resolution), resolution)

@@ -14,18 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (frobenius_norm, hermitian_eig, is_density_matrix, kron,
-                     partial_trace)
+from .linalg import (PAULIS, frobenius_norm, hermitian_eig, is_density_matrix,
+                     kron, partial_trace)
 
 KET_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 KET_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -83,8 +76,8 @@ def bell_diagonal(omega) -> DensityMatrix:
     if omega.shape != (3,):
         raise ValueError("omega must be a real 3-vector")
     rho = np.eye(4, dtype=complex)
-    for w, axis in zip(omega, "xyz"):
-        rho += w * kron(_PAULI[axis], _PAULI[axis])
+    for w, s in zip(omega, PAULIS):
+        rho += w * kron(s, s)
     rho /= 4.0
     lam = hermitian_eig(rho).eigenvalues
     if lam[0] < -1e-9:

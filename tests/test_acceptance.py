@@ -26,6 +26,7 @@ from qdiscord.states import (DensityMatrix, bell_diagonal, devectorize,
                              werner)
 from qdiscord.su_basis import decompose, generators, reconstruct
 from qdiscord.linalg import kron
+from tests.corpus import ginibre, ginibre_state, random_valid_omega
 
 
 _CAPTURE = None
@@ -52,22 +53,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     else:
         sys.stdout.write(line)
     assert ok, f"{name}{suffix}"
-
-
-def _random_valid_omega(rng):
-    while True:
-        omega = rng.uniform(-1, 1, 3)
-        try:
-            bell_diagonal(omega)
-        except ValueError:
-            continue
-        return omega
-
-
-def _random_state(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = g @ g.conj().T
-    return DensityMatrix((2, 2), rho / np.trace(rho).real)
 
 
 def _oracle_c_qd(rho):
@@ -137,7 +122,7 @@ def test_criterion_4a_bell_fast_path_vs_general():
     rng = np.random.default_rng(401)
     worst = 0.0
     for _ in range(100):
-        omega = _random_valid_omega(rng)
+        omega = random_valid_omega(rng)
         meas = from_angles(rng.uniform(0, 2 * math.pi, 3))
         worst = max(worst, abs(bell_conditional_entropy(omega, meas)
                                - conditional_entropy(bell_diagonal(omega),
@@ -150,7 +135,7 @@ def test_criterion_4b_superoperator_vs_direct():
     rng = np.random.default_rng(402)
     worst = 0.0
     for _ in range(100):
-        rho = _random_state(rng)
+        rho = ginibre_state(rng)
         pair = projectors(from_angles(rng.uniform(0, 2 * math.pi, 3)))
         out = apply_superop_vectorized(vectorize(rho), pair)
         for (weight, image), pi in zip(out, (pair.pi0, pair.pi1)):
@@ -168,7 +153,7 @@ def test_criterion_4c_analytic_vs_finite_difference_gradient():
     worst = 0.0
     checked = 0
     while checked < 100:
-        omega = _random_valid_omega(rng)
+        omega = random_valid_omega(rng)
         theta = rng.uniform(0, 2 * math.pi, 3)
         z = from_angles(theta).bloch_direction()
         xi = math.sqrt(float(np.sum((omega * z) ** 2)))
@@ -191,7 +176,7 @@ def test_criterion_4d_decompose_reconstruct_roundtrip():
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(100):
-        rho = _random_state(rng).matrix
+        rho = ginibre(rng, 4)
         back = reconstruct(decompose(rho, (2, 2)))
         worst = max(worst, float(np.max(np.abs(back - rho))))
     _report("criterion 4d: generator-basis decompose/reconstruct round trip",

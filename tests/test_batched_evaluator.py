@@ -19,19 +19,12 @@ from hypothesis import strategies as st
 from qdiscord.measurement import (conditional_entropy, conditional_entropy_fn,
                                   from_bloch)
 from qdiscord.optimizer import grid_oracle
-from qdiscord.states import DensityMatrix
+from tests.corpus import ginibre_state
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
-
-
-def ginibre_state(rng, m):
-    d = 2 * m
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return DensityMatrix((m, 2), rho / np.trace(rho).real)
 
 
 def unit_directions(rng, n):
@@ -43,7 +36,7 @@ def unit_directions(rng, n):
 @given(seed=seeds, m=st.sampled_from([2, 3]))
 def test_batch_matches_scalar_and_direct_route(seed, m):
     rng = np.random.default_rng(seed)
-    rho = ginibre_state(rng, m)
+    rho = ginibre_state(rng, (m, 2))
     dirs = unit_directions(rng, 16)
     evaluate = conditional_entropy_fn(rho)
     batch = evaluate(dirs)
@@ -91,7 +84,7 @@ def per_point_oracle(evaluate, resolution):
 @pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
 def test_vectorised_oracle_matches_per_point_search(m, seed):
     evaluate = conditional_entropy_fn(
-        ginibre_state(np.random.default_rng(seed), m))
+        ginibre_state(np.random.default_rng(seed), (m, 2)))
     val, meas = grid_oracle(evaluate, 16)
     loop_val, loop_meas = per_point_oracle(evaluate, 16)
     assert val == pytest.approx(loop_val, abs=1e-12)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qdiscord.correlations import quantum_discord
 from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
 from qdiscord.states import DensityMatrix, bell_diagonal
+from tests.corpus import haar_unitary
 
 PROPERTY = settings(max_examples=17, deadline=None, derandomize=True,
                     database=None)
@@ -29,12 +30,6 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 def omega_of(w):
     n1, n2, n3, n4 = np.asarray(w) / sum(w)
     return (n3 + n4 - n1 - n2, n2 + n4 - n1 - n3, n2 + n3 - n1 - n4)
-
-
-def haar_unitary(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 @pytest.mark.parametrize("rotated", [False, True])

@@ -8,6 +8,8 @@ import pytest
 
 from qdiscord.cli import (_OPTIONS, CSV_COLUMNS, MAX_SWEEP_ROWS, _sweep_params,
                           build_parser, main)
+from qdiscord.measurement import conditional_entropy_fn
+from qdiscord.optimizer import grid_oracle
 from qdiscord.states import save_state, werner
 
 
@@ -419,6 +421,94 @@ def test_oracle_resolution_above_cap_is_an_error(werner_file, capsys):
                  "--oracle-resolution", "1001"]) == 1
     assert "error: oracle resolution must be from 8 to 1000" in \
         capsys.readouterr().err
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fails the test if any report starts its minimisation."""
+    from qdiscord import correlations
+
+    def search(*args):
+        raise AssertionError("the minimiser ran")
+
+    monkeypatch.setattr(correlations, "multi_start", search)
+    monkeypatch.setattr(correlations, "nelder_mead", search)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--oracle", "--oracle-resolution", "1001"],
+     "oracle resolution must be from 8 to 1000"),
+    (["sweep", "--family", "werner", "--start", "0", "--end", "1",
+      "--step", "0.5", "--oracle", "--oracle-resolution", "1001"],
+     "oracle resolution must be from 8 to 1000"),
+    (["sweep", "--family", "bell_diagonal", "--omega=-a,0.5*a,-0.3*a",
+      "--start", "0", "--end", "1", "--step", "0.2"],
+     "invalid state at parameter 0.6"),
+])
+def test_inputs_are_checked_before_the_search(argv, message, no_search,
+                                              werner_file, tmp_path, capsys):
+    out_path = tmp_path / "out"
+    if argv[0] == "compute":
+        argv = argv + ["--state", werner_file]
+    assert main(argv + ["--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out_path.exists()
+
+
+def test_sweep_oracle_column_is_the_grid_oracle(tmp_path):
+    out_path = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "werner", "--start", "0", "--end", "1",
+                 "--step", "0.25", "--oracle", "--oracle-resolution", "24",
+                 "--out", str(out_path)]) == 0
+    rows = [line.split(",") for line in out_path.read_text().split("\n")[1:-1]]
+    assert len(rows) == 5
+    for row in rows:
+        oracle, _ = grid_oracle(conditional_entropy_fn(werner(float(row[0]))),
+                                24)
+        assert row[5] == f"{oracle:.10f}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--tol", "nan"],
+    ["compute", "--tol", "inf"],
+    ["sweep", "--tol", "nan"],
+    ["compute", "--tolerance-input", "inf"],
+    ["validate", "--tolerance-input", "nan"],
+    ["oracle", "--tolerance-input", "inf"],
+])
+def test_tolerance_flags_must_be_finite(argv, werner_file, tmp_path, capsys,
+                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv += SUBCOMMAND_ARGS[argv[0]]
+    if argv[0] != "sweep":
+        argv += ["--state", werner_file]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be positive and finite" in err
+
+
+@pytest.mark.parametrize("config, commands", [
+    ({"optimizer": {"tol": float("nan")}}, ("compute", "sweep")),
+    ({"optimizer": {"tol": float("inf")}}, ("compute", "sweep")),
+    ({"input_tolerance": float("inf")}, ("compute", "oracle", "validate")),
+    ({"input_tolerance": float("nan")}, ("compute", "oracle", "validate")),
+])
+def test_config_tolerances_must_be_finite(config, commands, werner_file,
+                                          tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert "NaN" in cfg_path.read_text() or "Infinity" in cfg_path.read_text()
+    for command in commands:
+        argv = [command, *SUBCOMMAND_ARGS[command], "--config", str(cfg_path)]
+        if command != "sweep":
+            argv += ["--state", werner_file]
+        assert main(argv) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be positive and finite" \
+            in err, (command, err)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("start, end, step, message", [

@@ -7,19 +7,11 @@ from qdiscord.correlations import (CorrelationReport,
                                    minimize_conditional_entropy,
                                    mutual_information, quantum_discord)
 from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
-from qdiscord.optimizer import OptimizerConfig
+from qdiscord.measurement import conditional_entropy_fn
+from qdiscord.optimizer import OptimizerConfig, grid_oracle
 from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
                              mixed_bell_family, werner)
-
-
-def random_valid_omega(rng):
-    while True:
-        omega = rng.uniform(-1, 1, 3)
-        try:
-            bell_diagonal(omega)
-        except ValueError:
-            continue
-        return omega
+from tests.corpus import random_valid_omega
 
 
 def werner_mutual_information(a):
@@ -70,7 +62,8 @@ def test_mutual_information_bell_matches_general():
 def test_minimize_werner_closed_form():
     cfg = OptimizerConfig()
     for a in (0.2, 0.5, 0.8):
-        val, _, _ = minimize_conditional_entropy(werner(a), cfg)
+        val, _, _ = minimize_conditional_entropy(
+            conditional_entropy_fn(werner(a)), cfg)
         assert val == pytest.approx(binary_entropy((1 + a) / 2), abs=1e-9)
 
 
@@ -155,6 +148,34 @@ def test_discord_methods_agree():
         report = quantum_discord(rho, OptimizerConfig(method=method))
         vals.append(report.min_conditional_entropy)
     assert max(vals) - min(vals) < 1e-6
+
+
+def test_report_compiles_one_evaluator_for_search_and_oracle(monkeypatch):
+    from qdiscord import correlations
+
+    compiled = []
+
+    def counting(rho):
+        compiled.append(rho)
+        return conditional_entropy_fn(rho)
+
+    monkeypatch.setattr(correlations, "conditional_entropy_fn", counting)
+    for method in ("nelder_mead", "grid_then_polish"):
+        compiled.clear()
+        quantum_discord(werner(0.5), OptimizerConfig(method=method),
+                        oracle_resolution=24)
+        assert len(compiled) == 1, method
+
+
+@pytest.mark.parametrize("rho", [werner(1.0), fixed_random_state()])
+def test_report_carries_the_oracle_minimum_exactly(rho):
+    report = quantum_discord(rho, oracle_resolution=32)
+    stats = report.optimizer_stats
+    oracle, _ = grid_oracle(conditional_entropy_fn(rho), 32)
+    assert stats.oracle_min_conditional_entropy == oracle
+    assert stats.oracle_gap == report.min_conditional_entropy - oracle
+    assert quantum_discord(rho).optimizer_stats \
+        .oracle_min_conditional_entropy is None
 
 
 def test_discord_oracle_gap_reported():

@@ -12,24 +12,13 @@ from hypothesis import strategies as st
 from qdiscord.correlations import quantum_discord
 from qdiscord.linalg import kron, von_neumann_entropy
 from qdiscord.states import DensityMatrix
+from tests.corpus import ginibre, haar_unitary
 
 PROPERTY = settings(max_examples=16, deadline=None, derandomize=True,
                     database=None)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 ranks = st.integers(min_value=1, max_value=4)
-
-
-def ginibre_state(rng, rank):
-    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def haar_unitary(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def assert_invariants(rho):
@@ -48,7 +37,7 @@ def assert_invariants(rho):
 @given(seed=seeds, rank=ranks)
 def test_invariants_and_local_unitary_invariance(seed, rank):
     rng = np.random.default_rng(seed)
-    matrix = ginibre_state(rng, rank)
+    matrix = ginibre(rng, 4, rank)
     u = kron(haar_unitary(rng), haar_unitary(rng))
     base = assert_invariants(DensityMatrix((2, 2), matrix))
     rotated = assert_invariants(

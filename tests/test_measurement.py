@@ -13,27 +13,11 @@ from qdiscord.measurement import (PROB_FLOOR, apply_superop_vectorized,
                                   VonNeumannMeasurement)
 from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
                              vectorize, werner)
-
-
-def random_state(rng, dims=(2, 2)):
-    d = dims[0] * dims[1]
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return DensityMatrix(dims, rho / np.trace(rho).real)
+from tests.corpus import ginibre_state, random_valid_omega
 
 
 def random_measurement(rng):
     return from_angles(rng.uniform(0, 2 * math.pi, 3))
-
-
-def random_valid_omega(rng):
-    while True:
-        omega = rng.uniform(-1, 1, 3)
-        try:
-            bell_diagonal(omega)
-        except ValueError:
-            continue
-        return omega
 
 
 def test_from_angles_special_points():
@@ -137,7 +121,7 @@ def test_conditional_entropy_matches_ensemble_route():
     # projected states kron(I, Pi) rho kron(I, Pi) of both outcomes.
     rng = np.random.default_rng(30)
     for _ in range(20):
-        rho = random_state(rng)
+        rho = ginibre_state(rng)
         meas = random_measurement(rng)
         direct = conditional_entropy(rho, meas)
         pair = projectors(meas)
@@ -154,7 +138,7 @@ def test_conditional_entropy_matches_ensemble_route():
 def test_conditional_entropy_bounds():
     rng = np.random.default_rng(40)
     for _ in range(30):
-        val = conditional_entropy(random_state(rng), random_measurement(rng))
+        val = conditional_entropy(ginibre_state(rng), random_measurement(rng))
         assert -1e-12 <= val <= 1.0 + 1e-12
 
 
@@ -209,7 +193,7 @@ def test_precompiled_conditional_entropy_nonnegative_on_pure_blocks():
 @pytest.mark.parametrize("m", [2, 3])
 def test_evaluator_takes_bloch_tuple_of_angles(m):
     rng = np.random.default_rng(80 + m)
-    evaluate = conditional_entropy_fn(random_state(rng, (m, 2)))
+    evaluate = conditional_entropy_fn(ginibre_state(rng, (m, 2)))
     for phi in rng.uniform(-2 * math.pi, 2 * math.pi, (50, 3)):
         z = bloch_of_angles(phi)
         assert type(z) is tuple and len(z) == 3
@@ -244,7 +228,7 @@ def test_superop_matches_direct_route():
 
     rng = np.random.default_rng(80)
     for _ in range(100):
-        rho = random_state(rng)
+        rho = ginibre_state(rng)
         meas = random_measurement(rng)
         pair = projectors(meas)
         vec = vectorize(rho)
@@ -260,7 +244,7 @@ def test_superop_matches_direct_route():
 def test_precompiled_conditional_entropy_agrees():
     rng = np.random.default_rng(85)
     for _ in range(100):
-        rho = random_state(rng)
+        rho = ginibre_state(rng)
         fast = conditional_entropy_fn(rho)
         meas = random_measurement(rng)
         assert fast(meas) == pytest.approx(conditional_entropy(rho, meas),
@@ -270,7 +254,7 @@ def test_precompiled_conditional_entropy_agrees():
 def test_vectorized_conditional_entropy_agrees():
     rng = np.random.default_rng(90)
     for _ in range(30):
-        rho = random_state(rng)
+        rho = ginibre_state(rng)
         meas = random_measurement(rng)
         assert vectorized_conditional_entropy(vectorize(rho), meas) == \
             pytest.approx(conditional_entropy(rho, meas), abs=1e-10)

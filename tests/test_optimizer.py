@@ -10,19 +10,11 @@ from qdiscord.measurement import (bell_conditional_entropy, bloch_of_angles,
                                   hyperspherical_angles)
 from qdiscord.optimizer import (OptimizerConfig, analytic_gradient_bell,
                                 finite_diff_gradient, gradient_descent,
-                                grid_oracle, multi_start, nelder_mead)
+                                _cell_grid, grid_oracle, multi_start,
+                                nelder_mead)
 from qdiscord.states import DensityMatrix, bell_diagonal, werner
+from tests.corpus import random_valid_omega
 from tests.reference import nelder_mead as array_nelder_mead
-
-
-def random_valid_omega(rng):
-    while True:
-        omega = rng.uniform(-1, 1, 3)
-        try:
-            bell_diagonal(omega)
-        except ValueError:
-            continue
-        return omega
 
 
 def quadratic(theta):
@@ -233,6 +225,23 @@ def test_grid_oracle_rejects_resolution_above_cap_before_scanning():
 
     with pytest.raises(ValueError, match="from 8 to 1000"):
         grid_oracle(cost, 1001)
+
+
+def test_cell_grid_cache_keeps_two_resolutions():
+    evaluate = conditional_entropy_fn(werner(0.5))
+    _cell_grid.cache_clear()
+    for resolution in (16, 24, 32):
+        grid_oracle(evaluate, resolution)
+    info = _cell_grid.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (2, 2, 3)
+    grid_oracle(evaluate, 24)
+    assert _cell_grid.cache_info().hits == 1
+
+
+def test_config_tolerance_must_be_finite():
+    for tol in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OptimizerConfig(tol=tol)
 
 
 def test_grid_oracle_dominant_axis():

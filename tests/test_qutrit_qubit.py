@@ -18,6 +18,7 @@ from qdiscord.measurement import (conditional_entropy, conditional_entropy_fn,
                                   from_angles)
 from qdiscord.optimizer import grid_oracle
 from qdiscord.states import DensityMatrix
+from tests.corpus import ginibre
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -26,16 +27,10 @@ seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 angles = st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3)
 
 
-def ginibre_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 @PROPERTY
 @given(seed=seeds, phi=angles)
 def test_evaluator_matches_direct_route(seed, phi):
-    rho = DensityMatrix((3, 2), ginibre_density(np.random.default_rng(seed), 6))
+    rho = DensityMatrix((3, 2), ginibre(np.random.default_rng(seed), 6))
     meas = from_angles(phi)
     assert conditional_entropy_fn(rho)(meas) == pytest.approx(
         conditional_entropy(rho, meas), abs=1e-12)
@@ -45,8 +40,8 @@ def test_evaluator_matches_direct_route(seed, phi):
 @given(seed=seeds, phi=angles)
 def test_product_state_conditions_to_marginal_entropy(seed, phi):
     rng = np.random.default_rng(seed)
-    rho_a = ginibre_density(rng, 3)
-    rho = DensityMatrix((3, 2), kron(rho_a, ginibre_density(rng, 2)))
+    rho_a = ginibre(rng, 3)
+    rho = DensityMatrix((3, 2), kron(rho_a, ginibre(rng, 2)))
     meas = from_angles(phi)
     s_a = von_neumann_entropy(rho_a)
     assert conditional_entropy_fn(rho)(meas) == pytest.approx(s_a, abs=1e-12)
@@ -55,7 +50,7 @@ def test_product_state_conditions_to_marginal_entropy(seed, phi):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_discord_invariants(seed):
-    rho = DensityMatrix((3, 2), ginibre_density(np.random.default_rng(seed), 6))
+    rho = DensityMatrix((3, 2), ginibre(np.random.default_rng(seed), 6))
     report = quantum_discord(rho)
     s_a = von_neumann_entropy(rho.marginal("A"))
     mi = report.mutual_information

@@ -5,18 +5,13 @@ import pytest
 from qdiscord.linalg import kron
 from qdiscord.states import werner
 from qdiscord.su_basis import decompose, generators, reconstruct
+from tests.corpus import ginibre
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-def random_density(rng, d=4):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def test_generators_su2_are_paulis():
@@ -76,7 +71,7 @@ def test_decompose_product_basis_state():
 def test_roundtrip_two_qubit():
     rng = np.random.default_rng(42)
     for _ in range(20):
-        rho = random_density(rng)
+        rho = ginibre(rng, 4)
         back = reconstruct(decompose(rho, (2, 2)))
         assert np.max(np.abs(back - rho)) < 1e-10
 
@@ -85,7 +80,7 @@ def test_roundtrip_two_qubit():
 def test_roundtrip_general_dims(dims):
     rng = np.random.default_rng(dims[0] * 10 + dims[1])
     m, n = dims
-    rho = random_density(rng, m * n)
+    rho = ginibre(rng, m * n)
     back = reconstruct(decompose(rho, dims))
     assert np.max(np.abs(back - rho)) < 1e-10
 
