@@ -24,11 +24,6 @@ PAULIS = (
 )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace(rho: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarray:
     """Trace out one subsystem of a bipartite operator on an m*n space.
 
@@ -48,30 +43,16 @@ def partial_trace(rho: np.ndarray, keep: str, dims: tuple[int, int]) -> np.ndarr
     raise ValueError("keep must be 'A' or 'B'")
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectrum of a Hermitian matrix, eigenvalues ascending.
-
-    eigenvectors holds orthonormal eigenvectors as columns, matching
-    the eigenvalue order.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(np.abs(a) ** 2)))
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     a = np.asarray(a)
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy's eigh).
 
+    Returns (eigenvalues, eigenvectors): the eigenvalues ascending, and
+    orthonormal eigenvectors as the columns of a matrix in that order.
     The input is symmetrized by (H + H^dag)/2 first; inputs that are
     non-Hermitian beyond HERMITICITY_TOL (relative to the largest entry)
     are rejected.
@@ -84,7 +65,7 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     if hermiticity_defect(h) > HERMITICITY_TOL * max(scale, 1.0):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return EigenDecomposition(vals, vecs)
+    return vals, vecs
 
 
 def entropy_of_spectrum(vals) -> float:
@@ -105,7 +86,8 @@ def entropy_of_spectrum(vals) -> float:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr(rho log2 rho) in bits."""
-    return entropy_of_spectrum(hermitian_eig(rho).eigenvalues)
+    vals, _ = hermitian_eig(rho)
+    return entropy_of_spectrum(vals)
 
 
 def binary_entropy(x: float) -> float:
@@ -154,5 +136,5 @@ def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> ValidityReport:
     herm = hermiticity_defect(m)
     tr = abs(complex(np.trace(m)) - 1.0)
     sym = 0.5 * (m + m.conj().T)
-    min_eig = float(hermitian_eig(sym).eigenvalues[0])
-    return ValidityReport(herm, tr, min_eig, tol)
+    vals, _ = hermitian_eig(sym)
+    return ValidityReport(herm, tr, float(vals[0]), tol)

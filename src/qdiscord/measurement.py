@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, binary_entropy, kron, von_neumann_entropy
+from .linalg import PAULIS, binary_entropy, von_neumann_entropy
 from .states import DensityMatrix, VectorizedState, devectorize
 
 PROB_FLOOR = 1e-12
+GRAD_CLAMP = 1e6
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,7 @@ class VonNeumannMeasurement:
     def bloch_direction(self) -> np.ndarray:
         """Bloch vector of the first projector: the image of z under
         conjugation by the measurement unitary."""
-        v = self.unitary()
-        m = v @ PAULIS[2] @ v.conj().T
-        return np.array([0.5 * np.trace(s @ m).real for s in PAULIS])
+        return np.array(_bloch_of_unit(self.r, *self.y))
 
 
 def _unit_of_angles(phi):
@@ -71,6 +70,24 @@ def bloch_of_angles(phi) -> tuple[float, float, float]:
     """Bloch direction of from_angles(phi)'s first projector as a 3-tuple,
     with the same arithmetic but without building the measurement."""
     return _bloch_of_unit(*_unit_of_angles(phi))
+
+
+def _bloch_jacobian(phi) -> np.ndarray:
+    """d bloch_of_angles(phi) / d phi as a 3x3 matrix, by the chain rule
+    d z/d(r, y) times the hyperspherical Jacobian d(r, y)/d phi."""
+    r, y1, y2, y3 = _unit_of_angles(phi)
+    dz_du = 2.0 * np.array([[-y2, y3, -r, y1],
+                            [y1, r, y3, y2],
+                            [r, -y1, -y2, y3]])
+    c1, c2, c3 = (math.cos(float(p)) for p in phi)
+    s1, s2, s3 = (math.sin(float(p)) for p in phi)
+    du_dphi = np.array([
+        [-s1, 0.0, 0.0],
+        [c1 * c2, -s1 * s2, 0.0],
+        [c1 * s2 * c3, s1 * c2 * c3, -s1 * s2 * s3],
+        [c1 * s2 * s3, s1 * c2 * s3, s1 * s2 * c3],
+    ])
+    return dz_du @ du_dphi
 
 
 def hyperspherical_angles(meas: VonNeumannMeasurement) -> np.ndarray:
@@ -102,19 +119,10 @@ def from_bloch(direction) -> VonNeumannMeasurement:
     )
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
-    pi0: np.ndarray
-    pi1: np.ndarray
-
-
-def projectors(meas: VonNeumannMeasurement) -> ProjectorPair:
+def projectors(meas: VonNeumannMeasurement) -> tuple[np.ndarray, np.ndarray]:
+    """The two rank-1 projectors (Pi0, Pi1) of the measurement."""
     v = meas.unitary()
-    cols = [v[:, 0], v[:, 1]]
-    return ProjectorPair(
-        np.outer(cols[0], cols[0].conj()),
-        np.outer(cols[1], cols[1].conj()),
-    )
+    return tuple(np.outer(v[:, j], v[:, j].conj()) for j in range(2))
 
 
 def conditional_entropy(rho: DensityMatrix,
@@ -272,9 +280,30 @@ def bell_conditional_entropy(omega, meas: VonNeumannMeasurement) -> float:
     return binary_entropy((1.0 + xi) / 2.0)
 
 
-def apply_superop_vectorized(v: VectorizedState, pair: ProjectorPair):
+def analytic_gradient_bell(omega, phi):
+    """Gradient of bell_conditional_entropy at from_angles(phi), that is
+    of h((1 + xi)/2) with xi = |omega * z(phi)|.
+
+    Near xi = 1 the binary-entropy derivative diverges; components are
+    clamped to +-GRAD_CLAMP so that they stay finite.
+    """
+    omega = np.asarray(omega, dtype=float)
+    z = np.array(bloch_of_angles(phi))
+    wz = omega * z
+    xi = math.sqrt(float(wz @ wz))
+    if xi < 1e-12:
+        return np.zeros(3)
+    dxi = (omega ** 2 * z) @ _bloch_jacobian(phi) / xi
+    one_minus = max(1.0 - xi, 1e-300)
+    dh = 0.5 * math.log2(one_minus / (1.0 + xi))
+    return np.clip(dh * dxi, -GRAD_CLAMP, GRAD_CLAMP)
+
+
+def apply_superop_vectorized(v: VectorizedState,
+                             pair: tuple[np.ndarray, np.ndarray]):
     """Vectorized route: Pi rho Pi becomes (Pi x Pi^T) |rho>.
 
+    `pair` holds the projectors (Pi0, Pi1), as projectors returns them.
     Returns, per outcome, the probability weight and the image as a
     VectorizedState whose devectorization equals (I x Pi_j) rho (I x Pi_j).
     """
@@ -286,9 +315,9 @@ def apply_superop_vectorized(v: VectorizedState, pair: ProjectorPair):
         raise ValueError("vectorized state length does not match dims")
     im = np.eye(m)
     results = []
-    for pi in (pair.pi0, pair.pi1):
-        full = kron(im, pi)
-        superop = kron(full, full.T)
+    for pi in pair:
+        full = np.kron(im, pi)
+        superop = np.kron(full, full.T)
         image = superop @ v.amplitudes
         norm = math.sqrt(float(np.sum(np.abs(image) ** 2)))
         # Probability: trace of the devectorized (unnormalized) image.

@@ -4,8 +4,8 @@ Costs are pure functions of a 3-vector of unconstrained hyperspherical
 angles.  Nelder-Mead, from multiple starts or polishing a coarse grid
 point, is the minimizer that reports use.  A brute-force sphere grid
 with local refinement, evaluated in batches of Bloch directions, serves
-as the independent verification oracle.  Gradient descent, finite
-differences and the Bell analytic gradient are test references.
+as the independent verification oracle.  Gradient descent and finite
+differences are test references.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from operator import add
 
 import numpy as np
 
-from .linalg import PAULIS
-from .measurement import from_angles, from_bloch, hyperspherical_angles
+from .measurement import from_bloch, hyperspherical_angles
 
-GRAD_CLAMP = 1e6
 METHODS = ("nelder_mead", "grid_then_polish")
 # grid_oracle's resolution range.  A scan holds resolution**2 directions
 # at about 330 B each on a 2x2 state and 780 B on a 3x2 state, so the cap
@@ -67,60 +65,6 @@ def finite_diff_gradient(cost, theta, h: float):
         e[k] = h
         g[k] = (cost(theta + e) - cost(theta - e)) / (2.0 * h)
     return g
-
-
-def _hyperspherical_jacobian(phi):
-    """d(r, y1, y2, y3)/d(phi1, phi2, phi3) as a 4x3 matrix."""
-    p1, p2, p3 = phi
-    c1, s1 = math.cos(p1), math.sin(p1)
-    c2, s2 = math.cos(p2), math.sin(p2)
-    c3, s3 = math.cos(p3), math.sin(p3)
-    return np.array([
-        [-s1, 0.0, 0.0],
-        [c1 * c2, -s1 * s2, 0.0],
-        [c1 * s2 * c3, s1 * c2 * c3, -s1 * s2 * s3],
-        [c1 * s2 * s3, s1 * c2 * s3, s1 * s2 * c3],
-    ])
-
-
-def _z_and_jacobian(phi):
-    """Measurement direction z(phi) and dz/dphi via conjugation.
-
-    z is read off V sigma_z V^dag; each derivative uses the product rule
-    with dV built from the hyperspherical Jacobian.
-    """
-    meas = from_angles(phi)
-    v = meas.unitary()
-    jac4 = _hyperspherical_jacobian(np.asarray(phi, dtype=float))
-    sz = PAULIS[2]
-    core = v @ sz @ v.conj().T
-    z = np.array([0.5 * np.trace(s @ core).real for s in PAULIS])
-    dz = np.zeros((3, 3))
-    for k in range(3):
-        dv = jac4[0, k] * np.eye(2, dtype=complex)
-        for i in range(3):
-            dv = dv + 1j * jac4[1 + i, k] * PAULIS[i]
-        dcore = dv @ sz @ v.conj().T + v @ sz @ dv.conj().T
-        dz[:, k] = [0.5 * np.trace(s @ dcore).real for s in PAULIS]
-    return z, dz
-
-
-def analytic_gradient_bell(omega, phi):
-    """Gradient of h((1 + xi)/2) with xi = |omega * z(phi)|.
-
-    Near xi = 1 the binary-entropy derivative diverges; components are
-    clamped to +-GRAD_CLAMP so that they stay finite.
-    """
-    omega = np.asarray(omega, dtype=float)
-    z, dz = _z_and_jacobian(phi)
-    wz = omega * z
-    xi = math.sqrt(float(wz @ wz))
-    if xi < 1e-12:
-        return np.zeros(3)
-    dxi = (omega ** 2 * z) @ dz / xi
-    one_minus = max(1.0 - xi, 1e-300)
-    dh = 0.5 * math.log2(one_minus / (1.0 + xi))
-    return np.clip(dh * dxi, -GRAD_CLAMP, GRAD_CLAMP)
 
 
 def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig,

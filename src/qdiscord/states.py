@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PAULIS, frobenius_norm, hermitian_eig, is_density_matrix,
-                     kron, partial_trace)
+from .linalg import PAULIS, hermitian_eig, is_density_matrix, partial_trace
 
 KET_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 KET_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -77,12 +76,12 @@ def bell_diagonal(omega) -> DensityMatrix:
         raise ValueError("omega must be a real 3-vector")
     rho = np.eye(4, dtype=complex)
     for w, s in zip(omega, PAULIS):
-        rho += w * kron(s, s)
+        rho += w * np.kron(s, s)
     rho /= 4.0
-    lam = hermitian_eig(rho).eigenvalues
+    lam, _ = hermitian_eig(rho)
     if lam[0] < -1e-9:
         raise ValueError(
-            f"omega {tuple(omega)} gives negative eigenvalue {lam[0]}"
+            f"omega {tuple(omega.tolist())} gives negative eigenvalue {lam[0]}"
         )
     return DensityMatrix((2, 2), rho)
 
@@ -107,7 +106,7 @@ def fixed_random_state() -> DensityMatrix:
     raw = np.array(_FIXED_RANDOM_ENTRIES, dtype=complex)
     sym = 0.5 * (raw + raw.conj().T)
     rho = sym / np.trace(sym).real
-    lam = hermitian_eig(rho).eigenvalues
+    lam, _ = hermitian_eig(rho)
     if lam[0] < -1e-3:
         raise ValueError("benchmark state irreparably non-positive")
     return DensityMatrix((2, 2), rho)
@@ -128,7 +127,7 @@ class VectorizedState:
 
 def vectorize(rho: DensityMatrix) -> VectorizedState:
     flat = np.asarray(rho.matrix, dtype=complex).reshape(-1)
-    norm = frobenius_norm(flat)
+    norm = float(np.linalg.norm(flat))
     if norm == 0.0:
         raise ValueError("cannot vectorize the zero matrix")
     return VectorizedState(rho.dims, flat / norm, norm)
@@ -199,7 +198,6 @@ def load_state(path, tol: float = 1e-6) -> DensityMatrix:
     report = rho.validity(tol)
     if not report.valid:
         raise ValueError(f"not a density matrix: {report.describe()}")
-    dec = hermitian_eig(0.5 * (rho.matrix + rho.matrix.conj().T))
-    lam = np.clip(dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors
+    lam, v = hermitian_eig(0.5 * (rho.matrix + rho.matrix.conj().T))
+    lam = np.clip(lam, 0.0, None)
     return DensityMatrix(rho.dims, (v * (lam / lam.sum())) @ v.conj().T)

@@ -27,29 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
-
 COEFF_IMAG_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Ordered traceless Hermitian generators of SU(N)."""
-
-    dimension: int
-    matrices: tuple
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, i):
-        return self.matrices[i]
-
-
-def generators(n: int) -> GeneratorSet:
+def generators(n: int) -> tuple[np.ndarray, ...]:
     """The N^2 - 1 generators of SU(N), orthogonal under Tr(L_i L_j) = 2 d_ij."""
     if n < 2:
         raise ValueError("generator dimension must be at least 2")
@@ -72,7 +53,7 @@ def generators(n: int) -> GeneratorSet:
             w[i, i] = 1.0
         w[l, l] = -l
         mats.append(math.sqrt(2.0 / (l * (l + 1))) * w)
-    return GeneratorSet(n, tuple(mats))
+    return tuple(mats)
 
 
 @dataclass(frozen=True)
@@ -101,15 +82,15 @@ def decompose(rho: np.ndarray, dims: tuple[int, int]) -> SuDecomposition:
     im = np.eye(m)
     iN = np.eye(n)
     alpha = np.array([
-        _real_coeff(0.5 * m * complex(np.trace(rho @ kron(g, iN))), "alpha")
+        _real_coeff(0.5 * m * complex(np.trace(rho @ np.kron(g, iN))), "alpha")
         for g in gen_a
     ])
     beta = np.array([
-        _real_coeff(0.5 * n * complex(np.trace(rho @ kron(im, g))), "beta")
+        _real_coeff(0.5 * n * complex(np.trace(rho @ np.kron(im, g))), "beta")
         for g in gen_b
     ])
     corr = np.array([
-        [_real_coeff(0.25 * m * n * complex(np.trace(rho @ kron(ga, gb))), "corr")
+        [_real_coeff(0.25 * m * n * complex(np.trace(rho @ np.kron(ga, gb))), "corr")
          for gb in gen_b]
         for ga in gen_a
     ])
@@ -126,12 +107,12 @@ def reconstruct(d: SuDecomposition) -> np.ndarray:
     gen_b = generators(n)
     im = np.eye(m)
     iN = np.eye(n)
-    rho = kron(im, iN).astype(complex)
+    rho = np.kron(im, iN).astype(complex)
     for ai, ga in zip(d.alpha, gen_a):
-        rho += ai * kron(ga, iN)
+        rho += ai * np.kron(ga, iN)
     for bj, gb in zip(d.beta, gen_b):
-        rho += bj * kron(im, gb)
+        rho += bj * np.kron(im, gb)
     for i, ga in enumerate(gen_a):
         for j, gb in enumerate(gen_b):
-            rho += d.corr[i, j] * kron(ga, gb)
+            rho += d.corr[i, j] * np.kron(ga, gb)
     return rho / (m * n)

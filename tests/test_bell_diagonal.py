@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdiscord.correlations import quantum_discord
-from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
+from qdiscord.linalg import binary_entropy, von_neumann_entropy
 from qdiscord.states import DensityMatrix, bell_diagonal
 from tests.corpus import haar_unitary
 
@@ -43,7 +43,7 @@ def test_discord_matches_luo_closed_form(rotated, w, seed):
     rho = bell_diagonal(omega)
     if rotated:
         rng = np.random.default_rng(seed)
-        u = kron(haar_unitary(rng), haar_unitary(rng))
+        u = np.kron(haar_unitary(rng), haar_unitary(rng))
         rho = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
     report = quantum_discord(rho)
     assert report.min_conditional_entropy == pytest.approx(

@@ -456,6 +456,16 @@ def test_inputs_are_checked_before_the_search(argv, message, no_search,
     assert not out_path.exists()
 
 
+def test_invalid_bell_diagonal_message_prints_plain_floats(tmp_path, capsys):
+    assert main(["sweep", "--family", "bell_diagonal",
+                 "--omega=-a,0.5*a,-0.3*a", "--start", "0", "--end", "1",
+                 "--step", "0.2", "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid state at parameter 0.6")
+    assert ("omega (-0.6000000000000001, 0.30000000000000004, "
+            "-0.18000000000000002) gives negative eigenvalue") in err
+
+
 def test_sweep_oracle_column_is_the_grid_oracle(tmp_path):
     out_path = tmp_path / "s.csv"
     assert main(["sweep", "--family", "werner", "--start", "0", "--end", "1",

@@ -6,7 +6,7 @@ import pytest
 from qdiscord.correlations import (CorrelationReport,
                                    minimize_conditional_entropy,
                                    mutual_information, quantum_discord)
-from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
+from qdiscord.linalg import binary_entropy, von_neumann_entropy
 from qdiscord.measurement import conditional_entropy_fn
 from qdiscord.optimizer import OptimizerConfig, grid_oracle
 from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
@@ -28,7 +28,7 @@ def test_mutual_information_product_state():
         rho_a /= np.trace(rho_a).real
         rho_b = gb @ gb.conj().T
         rho_b /= np.trace(rho_b).real
-        rho = DensityMatrix((2, 2), kron(rho_a, rho_b))
+        rho = DensityMatrix((2, 2), np.kron(rho_a, rho_b))
         assert mutual_information(rho) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -96,7 +96,7 @@ def test_discord_identity_and_report():
 def test_discord_zero_for_product_state():
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1
-    rho = DensityMatrix((2, 2), kron(np.eye(2) / 2, ket0))
+    rho = DensityMatrix((2, 2), np.kron(np.eye(2) / 2, ket0))
     report = quantum_discord(rho)
     assert report.discord == pytest.approx(0.0, abs=1e-8)
     assert report.classical_correlation == pytest.approx(0.0, abs=1e-8)
@@ -132,7 +132,7 @@ def test_discord_local_unitary_invariance():
         g2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q1, _ = np.linalg.qr(g1)
         q2, _ = np.linalg.qr(g2)
-        u = kron(q1, q2)
+        u = np.kron(q1, q2)
         rot = DensityMatrix((2, 2), u @ mixed_bell_family(0.5).matrix
                             @ u.conj().T)
         report = quantum_discord(rot)

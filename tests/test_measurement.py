@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qdiscord.linalg import binary_entropy, kron, von_neumann_entropy
-from qdiscord.measurement import (PROB_FLOOR, apply_superop_vectorized,
+from qdiscord.linalg import PAULIS, binary_entropy, von_neumann_entropy
+from qdiscord.measurement import (PROB_FLOOR, _bloch_jacobian,
+                                  apply_superop_vectorized,
                                   bell_conditional_entropy, bloch_of_angles,
                                   conditional_entropy, conditional_entropy_fn,
                                   from_angles,
@@ -60,32 +61,32 @@ def test_from_bloch_direction_roundtrip():
 
 
 def test_projectors_identity_basis():
-    p = projectors(from_angles((0, 0, 0)))
-    assert np.allclose(p.pi0, [[1, 0], [0, 0]], atol=1e-15)
-    assert np.allclose(p.pi1, [[0, 0], [0, 1]], atol=1e-15)
+    pi0, pi1 = projectors(from_angles((0, 0, 0)))
+    assert np.allclose(pi0, [[1, 0], [0, 0]], atol=1e-15)
+    assert np.allclose(pi1, [[0, 0], [0, 1]], atol=1e-15)
 
 
 def test_projectors_hadamard_like():
     # r = y2 = 1/sqrt(2) maps |0>,|1> onto the x-basis.
     m = VonNeumannMeasurement(1 / math.sqrt(2), (0.0, 1 / math.sqrt(2), 0.0))
-    p = projectors(m)
+    pi0, pi1 = projectors(m)
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    assert (np.allclose(p.pi0, plus, atol=1e-12)
-            and np.allclose(p.pi1, minus, atol=1e-12)) or \
-           (np.allclose(p.pi0, minus, atol=1e-12)
-            and np.allclose(p.pi1, plus, atol=1e-12))
+    assert (np.allclose(pi0, plus, atol=1e-12)
+            and np.allclose(pi1, minus, atol=1e-12)) or \
+           (np.allclose(pi0, minus, atol=1e-12)
+            and np.allclose(pi1, plus, atol=1e-12))
 
 
 def test_projector_pair_properties():
     rng = np.random.default_rng(12)
     for _ in range(25):
-        p = projectors(random_measurement(rng))
-        for pi in (p.pi0, p.pi1):
+        pi0, pi1 = projectors(random_measurement(rng))
+        for pi in (pi0, pi1):
             assert np.max(np.abs(pi @ pi - pi)) < 1e-10
             assert np.max(np.abs(pi - pi.conj().T)) < 1e-12
-        assert np.max(np.abs(p.pi0 + p.pi1 - np.eye(2))) < 1e-12
-        assert np.max(np.abs(p.pi0 @ p.pi1)) < 1e-12
+        assert np.max(np.abs(pi0 + pi1 - np.eye(2))) < 1e-12
+        assert np.max(np.abs(pi0 @ pi1)) < 1e-12
 
 
 def test_measurement_rejects_off_sphere():
@@ -102,7 +103,7 @@ def test_conditional_entropy_product_state():
         rho_a /= np.trace(rho_a).real
         rho_b = gb @ gb.conj().T
         rho_b /= np.trace(rho_b).real
-        rho = DensityMatrix((2, 2), kron(rho_a, rho_b))
+        rho = DensityMatrix((2, 2), np.kron(rho_a, rho_b))
         s_a = von_neumann_entropy(rho_a)
         assert conditional_entropy(rho, random_measurement(rng)) == \
             pytest.approx(s_a, abs=1e-9)
@@ -124,10 +125,9 @@ def test_conditional_entropy_matches_ensemble_route():
         rho = ginibre_state(rng)
         meas = random_measurement(rng)
         direct = conditional_entropy(rho, meas)
-        pair = projectors(meas)
         slow = 0.0
-        for pi in (pair.pi0, pair.pi1):
-            full = kron(np.eye(2), pi)
+        for pi in projectors(meas):
+            full = np.kron(np.eye(2), pi)
             projected = full @ rho.matrix @ full
             p = float(np.trace(projected).real)
             if p >= PROB_FLOOR:
@@ -148,8 +148,7 @@ def test_global_phase_gauge_invariance():
     v = m.unitary()
     flipped = VonNeumannMeasurement(-m.r, tuple(-c for c in m.y))
     assert np.allclose(flipped.unitary(), -v, atol=1e-12)
-    p1, p2 = projectors(m), projectors(flipped)
-    assert np.allclose(p1.pi0, p2.pi0, atol=1e-12)
+    assert np.allclose(projectors(m)[0], projectors(flipped)[0], atol=1e-12)
     rho = fixed_random_state()
     assert conditional_entropy(rho, m) == pytest.approx(
         conditional_entropy(rho, flipped), abs=1e-12)
@@ -201,7 +200,23 @@ def test_evaluator_takes_bloch_tuple_of_angles(m):
         value = evaluate(z)
         assert type(value) is float
         assert value == evaluate(meas)
-        assert np.max(np.abs(np.array(z) - meas.bloch_direction())) < 1e-14
+        # The written-out map against its definition, U sigma_z U^dag.
+        v = meas.unitary()
+        m_z = v @ PAULIS[2] @ v.conj().T
+        want = np.array([0.5 * np.trace(s @ m_z).real for s in PAULIS])
+        assert np.max(np.abs(np.array(z) - want)) < 1e-14
+        assert np.max(np.abs(meas.bloch_direction() - want)) < 1e-14
+
+
+def test_bloch_jacobian_matches_central_differences():
+    rng = np.random.default_rng(88)
+    h = 1e-6
+    for phi in rng.uniform(-2 * math.pi, 2 * math.pi, (200, 3)):
+        jac = _bloch_jacobian(phi)
+        for k, step in enumerate(h * np.eye(3)):
+            diff = (np.array(bloch_of_angles(phi + step))
+                    - np.array(bloch_of_angles(phi - step))) / (2 * h)
+            assert np.max(np.abs(jac[:, k] - diff)) < 1e-8
 
 
 def test_measurement_direction_unit_norm():
@@ -214,7 +229,7 @@ def test_measurement_direction_unit_norm():
 def test_superop_identity_basis_on_product_state():
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1
-    rho = DensityMatrix((2, 2), kron(np.eye(2) / 2, ket0))
+    rho = DensityMatrix((2, 2), np.kron(np.eye(2) / 2, ket0))
     v = vectorize(rho)
     out = apply_superop_vectorized(v, projectors(from_angles((0, 0, 0))))
     w0, img0 = out[0]
@@ -234,8 +249,8 @@ def test_superop_matches_direct_route():
         vec = vectorize(rho)
         vec_out = apply_superop_vectorized(vec, pair)
         im = np.eye(2)
-        for (weight, image), pi in zip(vec_out, (pair.pi0, pair.pi1)):
-            full = kron(im, pi)
+        for (weight, image), pi in zip(vec_out, pair):
+            full = np.kron(im, pi)
             direct = full @ rho.matrix @ full
             assert np.max(np.abs(devectorize(image) - direct)) < 1e-10
             assert weight == pytest.approx(np.trace(direct).real, abs=1e-10)

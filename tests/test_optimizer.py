@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import binary_entropy
-from qdiscord.measurement import (bell_conditional_entropy, bloch_of_angles,
+from qdiscord.measurement import (analytic_gradient_bell,
+                                  bell_conditional_entropy, bloch_of_angles,
                                   conditional_entropy, conditional_entropy_fn,
                                   from_angles, from_bloch,
                                   hyperspherical_angles)
-from qdiscord.optimizer import (OptimizerConfig, analytic_gradient_bell,
-                                finite_diff_gradient, gradient_descent,
-                                _cell_grid, grid_oracle, multi_start,
-                                nelder_mead)
+from qdiscord.optimizer import (OptimizerConfig, finite_diff_gradient,
+                                gradient_descent, _cell_grid, grid_oracle,
+                                multi_start, nelder_mead)
 from qdiscord.states import DensityMatrix, bell_diagonal, werner
 from tests.corpus import random_valid_omega
 from tests.reference import nelder_mead as array_nelder_mead

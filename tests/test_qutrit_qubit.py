@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiscord.correlations import quantum_discord
-from qdiscord.linalg import kron, von_neumann_entropy
+from qdiscord.linalg import von_neumann_entropy
 from qdiscord.measurement import (conditional_entropy, conditional_entropy_fn,
                                   from_angles)
 from qdiscord.optimizer import grid_oracle
@@ -41,7 +41,7 @@ def test_evaluator_matches_direct_route(seed, phi):
 def test_product_state_conditions_to_marginal_entropy(seed, phi):
     rng = np.random.default_rng(seed)
     rho_a = ginibre(rng, 3)
-    rho = DensityMatrix((3, 2), kron(rho_a, ginibre(rng, 2)))
+    rho = DensityMatrix((3, 2), np.kron(rho_a, ginibre(rng, 2)))
     meas = from_angles(phi)
     s_a = von_neumann_entropy(rho_a)
     assert conditional_entropy_fn(rho)(meas) == pytest.approx(s_a, abs=1e-12)

@@ -46,7 +46,7 @@ def test_mixed_bell_trace_and_limit():
 
 
 def test_mixed_bell_spectrum_at_one():
-    lam = hermitian_eig(mixed_bell_family(1.0).matrix).eigenvalues
+    lam, _ = hermitian_eig(mixed_bell_family(1.0).matrix)
     assert np.allclose(lam, [0.0, 0.0, 1 / 3, 2 / 3], atol=1e-12)
 
 

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from qdiscord.linalg import kron
 from qdiscord.states import werner
 from qdiscord.su_basis import decompose, generators, reconstruct
 from tests.corpus import ginibre
@@ -55,7 +54,7 @@ def test_decompose_werner_correlation():
         assert np.allclose(d.beta, 0, atol=1e-12)
         assert np.allclose(d.corr, np.diag([-a, -a, -a]), atol=1e-12)
         for i in range(3):
-            direct = np.trace(rho @ kron(PAULIS[i], PAULIS[i])).real
+            direct = np.trace(rho @ np.kron(PAULIS[i], PAULIS[i])).real
             assert d.corr[i, i] == pytest.approx(direct, abs=1e-12)
 
 
