@@ -127,6 +127,12 @@ class ValidityReport:
 
 def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> ValidityReport:
     """Report Hermiticity, trace and positivity defects of a square matrix."""
+    return _validity_and_eig(m, tol)[0]
+
+
+def _validity_and_eig(m: np.ndarray, tol: float):
+    """is_density_matrix's report, and the hermitian_eig of the Hermitian
+    part (M + M^dag)/2 that its minimum eigenvalue comes from."""
     if not 0 < tol < math.inf:
         raise ValueError(f"input tolerance must be positive and finite, "
                          f"not {tol}")
@@ -136,5 +142,5 @@ def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> ValidityReport:
     herm = hermiticity_defect(m)
     tr = abs(complex(np.trace(m)) - 1.0)
     sym = 0.5 * (m + m.conj().T)
-    vals, _ = hermitian_eig(sym)
-    return ValidityReport(herm, tr, float(vals[0]), tol)
+    vals, vecs = hermitian_eig(sym)
+    return ValidityReport(herm, tr, float(vals[0]), tol), vals, vecs

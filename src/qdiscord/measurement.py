@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, binary_entropy, von_neumann_entropy
-from .states import DensityMatrix, VectorizedState, devectorize
+from .linalg import PAULIS, binary_entropy
+from .states import DensityMatrix
 
 PROB_FLOOR = 1e-12
-GRAD_CLAMP = 1e6
 
 
 @dataclass(frozen=True)
@@ -72,24 +71,6 @@ def bloch_of_angles(phi) -> tuple[float, float, float]:
     return _bloch_of_unit(*_unit_of_angles(phi))
 
 
-def _bloch_jacobian(phi) -> np.ndarray:
-    """d bloch_of_angles(phi) / d phi as a 3x3 matrix, by the chain rule
-    d z/d(r, y) times the hyperspherical Jacobian d(r, y)/d phi."""
-    r, y1, y2, y3 = _unit_of_angles(phi)
-    dz_du = 2.0 * np.array([[-y2, y3, -r, y1],
-                            [y1, r, y3, y2],
-                            [r, -y1, -y2, y3]])
-    c1, c2, c3 = (math.cos(float(p)) for p in phi)
-    s1, s2, s3 = (math.sin(float(p)) for p in phi)
-    du_dphi = np.array([
-        [-s1, 0.0, 0.0],
-        [c1 * c2, -s1 * s2, 0.0],
-        [c1 * s2 * c3, s1 * c2 * c3, -s1 * s2 * s3],
-        [c1 * s2 * s3, s1 * c2 * s3, s1 * s2 * c3],
-    ])
-    return dz_du @ du_dphi
-
-
 def hyperspherical_angles(meas: VonNeumannMeasurement) -> np.ndarray:
     """Inverse of from_angles (one representative of the fiber)."""
     r = max(min(meas.r, 1.0), -1.0)
@@ -119,37 +100,6 @@ def from_bloch(direction) -> VonNeumannMeasurement:
     )
 
 
-def projectors(meas: VonNeumannMeasurement) -> tuple[np.ndarray, np.ndarray]:
-    """The two rank-1 projectors (Pi0, Pi1) of the measurement."""
-    v = meas.unitary()
-    return tuple(np.outer(v[:, j], v[:, j].conj()) for j in range(2))
-
-
-def conditional_entropy(rho: DensityMatrix,
-                        meas: VonNeumannMeasurement) -> float:
-    """sum_j p_j S(rho_j) for the two projective outcomes on B.
-
-    The entropy is evaluated on the A-marginal of each outcome; after a
-    rank-1 projection on B the outcome factorizes with a pure B part, so
-    this equals the entropy of the full post-measurement state.
-    """
-    m, n = rho.dims
-    if n != 2:
-        raise ValueError("measurement acts on a 2-dimensional subsystem B")
-    v = meas.unitary()
-    r4 = np.asarray(rho.matrix).reshape(m, 2, m, 2)
-    total = 0.0
-    for j in range(2):
-        ket = v[:, j]
-        # A-marginal of (I x Pi_j) rho (I x Pi_j): sandwich the B indices.
-        red = np.einsum("b,abcd,d->ac", ket.conj(), r4, ket)
-        p = float(np.trace(red).real)
-        if p < PROB_FLOOR:
-            continue
-        total += p * von_neumann_entropy(red / p)
-    return total
-
-
 def _outcome_entropies(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sum_i -lam_i log2(lam_i / p) over the last axis of `lam`, which
     holds the spectra of the unnormalised outcome blocks of weight `p`.
@@ -170,7 +120,8 @@ def conditional_entropy_fn(rho: DensityMatrix):
     measured projector: 0.5 (Tr_B rho +- sum_k z_k Tr_B[(I x s_k) rho])
     for the two outcomes.  Contracting the B indices against I and the
     three Paulis once makes each later evaluation a few m x m operations.
-    Agrees with conditional_entropy to machine precision.
+    This is the package's one conditional-entropy route; the tests check
+    it against the independent routes in tests/reference.py.
 
     The evaluator takes a VonNeumannMeasurement or a 3-tuple of floats,
     one unit Bloch direction (the form bloch_of_angles returns), and
@@ -271,76 +222,11 @@ def bell_conditional_entropy(omega, meas: VonNeumannMeasurement) -> float:
     Bloch length xi = |(w_1 z_1, w_2 z_2, w_3 z_3)|, where z is the
     measurement direction obtained by conjugation (S. Luo, Phys. Rev. A
     77, 042303, 2008).  A test reference for conditional_entropy_fn; no
-    production path calls it.
+    production path calls it.  It stays in the package because
+    perfbench/tracing.py names it; its gradient is in tests/reference.py.
     """
     omega = np.asarray(omega, dtype=float)
     z = meas.bloch_direction()
     xi = math.sqrt(float(np.sum((omega * z) ** 2)))
     xi = min(xi, 1.0)
     return binary_entropy((1.0 + xi) / 2.0)
-
-
-def analytic_gradient_bell(omega, phi):
-    """Gradient of bell_conditional_entropy at from_angles(phi), that is
-    of h((1 + xi)/2) with xi = |omega * z(phi)|.
-
-    Near xi = 1 the binary-entropy derivative diverges; components are
-    clamped to +-GRAD_CLAMP so that they stay finite.
-    """
-    omega = np.asarray(omega, dtype=float)
-    z = np.array(bloch_of_angles(phi))
-    wz = omega * z
-    xi = math.sqrt(float(wz @ wz))
-    if xi < 1e-12:
-        return np.zeros(3)
-    dxi = (omega ** 2 * z) @ _bloch_jacobian(phi) / xi
-    one_minus = max(1.0 - xi, 1e-300)
-    dh = 0.5 * math.log2(one_minus / (1.0 + xi))
-    return np.clip(dh * dxi, -GRAD_CLAMP, GRAD_CLAMP)
-
-
-def apply_superop_vectorized(v: VectorizedState,
-                             pair: tuple[np.ndarray, np.ndarray]):
-    """Vectorized route: Pi rho Pi becomes (Pi x Pi^T) |rho>.
-
-    `pair` holds the projectors (Pi0, Pi1), as projectors returns them.
-    Returns, per outcome, the probability weight and the image as a
-    VectorizedState whose devectorization equals (I x Pi_j) rho (I x Pi_j).
-    """
-    m, n = v.dims
-    if n != 2:
-        raise ValueError("measurement acts on a 2-dimensional subsystem B")
-    d = m * n
-    if v.amplitudes.shape != (d * d,):
-        raise ValueError("vectorized state length does not match dims")
-    im = np.eye(m)
-    results = []
-    for pi in pair:
-        full = np.kron(im, pi)
-        superop = np.kron(full, full.T)
-        image = superop @ v.amplitudes
-        norm = math.sqrt(float(np.sum(np.abs(image) ** 2)))
-        # Probability: trace of the devectorized (unnormalized) image.
-        weight = float((image.reshape(d, d).trace() * v.normalization).real)
-        if norm == 0.0:
-            results.append((max(weight, 0.0),
-                            VectorizedState(v.dims, image, 0.0)))
-        else:
-            results.append((weight,
-                            VectorizedState(v.dims, image / norm,
-                                            norm * v.normalization)))
-    return results
-
-
-def vectorized_conditional_entropy(v: VectorizedState,
-                                   meas: VonNeumannMeasurement) -> float:
-    """Conditional entropy computed entirely through the vectorized route."""
-    total = 0.0
-    for weight, image in apply_superop_vectorized(v, projectors(meas)):
-        if weight < PROB_FLOOR:
-            continue
-        mat = devectorize(image) / weight
-        red = np.trace(mat.reshape(v.dims[0], 2, v.dims[0], 2),
-                       axis1=1, axis2=3)
-        total += weight * von_neumann_entropy(red)
-    return total

@@ -4,8 +4,8 @@ Costs are pure functions of a 3-vector of unconstrained hyperspherical
 angles.  Nelder-Mead, from multiple starts or polishing a coarse grid
 point, is the minimizer that reports use.  A brute-force sphere grid
 with local refinement, evaluated in batches of Bloch directions, serves
-as the independent verification oracle.  Gradient descent and finite
-differences are test references.
+as the independent verification oracle.  Gradient descent is a test
+reference; finite differences are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from .measurement import from_bloch, hyperspherical_angles
 
 METHODS = ("nelder_mead", "grid_then_polish")
 # grid_oracle's resolution range.  A scan holds resolution**2 directions
-# at about 330 B each on a 2x2 state and 780 B on a 3x2 state, so the cap
-# keeps it near 330 MB and 780 MB.
+# at once, about 80 B x m**2 each on an m x 2 state, so its memory grows
+# with m**2: at the cap, about 330 MB on 2x2 and 780 MB on 3x2, but a
+# 16x2 state takes about 820 MB already at resolution 200.  The cap
+# bounds the resolution, not the memory.
 MIN_ORACLE_RESOLUTION, MAX_ORACLE_RESOLUTION = 8, 1000
 
 
@@ -52,19 +54,6 @@ class OptimizationResult:
     iterations: int
     converged: bool
     trace: tuple = ()
-
-
-def finite_diff_gradient(cost, theta, h: float):
-    """Central differences, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    theta = np.asarray(theta, dtype=float)
-    g = np.zeros_like(theta)
-    for k in range(theta.size):
-        e = np.zeros_like(theta)
-        e[k] = h
-        g[k] = (cost(theta + e) - cost(theta - e)) / (2.0 * h)
-    return g
 
 
 def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig,

@@ -1,4 +1,4 @@
-"""Built-in state families, vectorization and the JSON state format.
+"""Built-in state families and the JSON state format.
 
 States are carried as a DensityMatrix: a bipartite dimension tag plus
 the dense matrix.  Construction here does not validate; the built-in
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, hermitian_eig, is_density_matrix, partial_trace
+from .linalg import (PAULIS, _validity_and_eig, hermitian_eig,
+                     is_density_matrix, partial_trace)
 
 KET_PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 KET_PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -112,38 +113,6 @@ def fixed_random_state() -> DensityMatrix:
     return DensityMatrix((2, 2), rho)
 
 
-@dataclass(frozen=True)
-class VectorizedState:
-    """Row-major flattening of a matrix, scaled to a unit vector.
-
-    `normalization` keeps the original Frobenius norm so the matrix can
-    be recovered exactly.
-    """
-
-    dims: tuple[int, int]
-    amplitudes: np.ndarray
-    normalization: float
-
-
-def vectorize(rho: DensityMatrix) -> VectorizedState:
-    flat = np.asarray(rho.matrix, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(flat))
-    if norm == 0.0:
-        raise ValueError("cannot vectorize the zero matrix")
-    return VectorizedState(rho.dims, flat / norm, norm)
-
-
-def devectorize(v: VectorizedState) -> np.ndarray:
-    """Inverse of vectorize; returns the dense matrix."""
-    m, n = v.dims
-    d = m * n
-    if v.amplitudes.shape != (d * d,):
-        raise ValueError(
-            f"amplitude length {v.amplitudes.shape} does not match dims {v.dims}"
-        )
-    return (v.amplitudes * v.normalization).reshape(d, d)
-
-
 def to_json_dict(rho: DensityMatrix) -> dict:
     m = np.asarray(rho.matrix)
     return {
@@ -162,8 +131,10 @@ def save_state(rho: DensityMatrix, path) -> None:
 def read_state(path) -> DensityMatrix:
     """Parse the JSON density-matrix format without checking validity.
 
-    Raises ValueError if the file cannot be read or parsed, if its
-    blocks do not match its dims, or if B is not a qubit.
+    Raises ValueError if the file cannot be read or parsed, if its dims
+    are not two JSON integers [m, n] with m >= 1, if its blocks do not
+    match its dims or hold an entry that is not a finite JSON number, or
+    if B is not a qubit.
     """
     try:
         with open(path) as f:
@@ -171,15 +142,28 @@ def read_state(path) -> DensityMatrix:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
     try:
-        m, n = (int(x) for x in data["dims"])
+        dims = data["dims"]
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file: {exc}") from exc
+    # type() rather than isinstance(): JSON true and false are not dims.
+    if (type(dims) is not list or len(dims) != 2
+            or any(type(x) is not int for x in dims) or dims[0] < 1):
+        raise ValueError("malformed state file: 'dims' must be two integers "
+                         f"[m, n] with m >= 1, not {json.dumps(dims)}")
+    m, n = dims
     if re.shape != (m * n, m * n) or im.shape != re.shape:
         raise ValueError(
             f"matrix blocks {re.shape}/{im.shape} do not match dims ({m},{n})"
         )
+    # numpy would read "0.25" and true as numbers; JSON NaN and Infinity
+    # would reach LAPACK.
+    for name, block in (("re", re), ("im", im)):
+        if (any(type(x) not in (int, float) for row in data[name] for x in row)
+                or not np.isfinite(block).all()):
+            raise ValueError(f"malformed state file: every '{name}' entry "
+                             "must be a finite number")
     if n != 2:
         raise ValueError("measurement acts on a 2-dimensional subsystem B")
     return DensityMatrix((m, n), re + 1j * im)
@@ -195,9 +179,8 @@ def load_state(path, tol: float = 1e-6) -> DensityMatrix:
     one, so defects within `tol` never reach the entropy routines.
     """
     rho = read_state(path)
-    report = rho.validity(tol)
+    report, lam, v = _validity_and_eig(rho.matrix, tol)
     if not report.valid:
         raise ValueError(f"not a density matrix: {report.describe()}")
-    lam, v = hermitian_eig(0.5 * (rho.matrix + rho.matrix.conj().T))
     lam = np.clip(lam, 0.0, None)
     return DensityMatrix(rho.dims, (v * (lam / lam.sum())) @ v.conj().T)

@@ -17,7 +17,8 @@ with Tr(L_i L_j) = 2 d_ij, which forces
     corr_ij = (mn/4) Tr(rho L_i x L_j).
 
 For two qubits this reduces to the familiar Pauli expansion where alpha
-and beta are the subsystem Bloch vectors.
+and beta are the subsystem Bloch vectors.  The inverse, `reconstruct`,
+is a test reference in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -95,24 +96,3 @@ def decompose(rho: np.ndarray, dims: tuple[int, int]) -> SuDecomposition:
         for ga in gen_a
     ])
     return SuDecomposition((m, n), alpha, beta, corr)
-
-
-def reconstruct(d: SuDecomposition) -> np.ndarray:
-    m, n = d.dims
-    if d.alpha.shape != (m * m - 1,) or d.beta.shape != (n * n - 1,):
-        raise ValueError("coefficient lengths do not match dims")
-    if d.corr.shape != (m * m - 1, n * n - 1):
-        raise ValueError("correlation matrix shape does not match dims")
-    gen_a = generators(m)
-    gen_b = generators(n)
-    im = np.eye(m)
-    iN = np.eye(n)
-    rho = np.kron(im, iN).astype(complex)
-    for ai, ga in zip(d.alpha, gen_a):
-        rho += ai * np.kron(ga, iN)
-    for bj, gb in zip(d.beta, gen_b):
-        rho += bj * np.kron(im, gb)
-    for i, ga in enumerate(gen_a):
-        for j, gb in enumerate(gen_b):
-            rho += d.corr[i, j] * np.kron(ga, gb)
-    return rho / (m * n)

@@ -14,18 +14,18 @@ import pytest
 
 from qdiscord.correlations import mutual_information, quantum_discord
 from qdiscord.linalg import von_neumann_entropy
-from qdiscord.measurement import (analytic_gradient_bell,
-                                  apply_superop_vectorized,
-                                  bell_conditional_entropy,
-                                  conditional_entropy, conditional_entropy_fn,
-                                  from_angles, projectors)
-from qdiscord.optimizer import (OptimizerConfig, finite_diff_gradient,
-                                grid_oracle, multi_start, nelder_mead)
-from qdiscord.states import (DensityMatrix, bell_diagonal, devectorize,
-                             fixed_random_state, mixed_bell_family, vectorize,
-                             werner)
-from qdiscord.su_basis import decompose, generators, reconstruct
+from qdiscord.measurement import (bell_conditional_entropy,
+                                  conditional_entropy_fn, from_angles)
+from qdiscord.optimizer import (OptimizerConfig, grid_oracle, multi_start,
+                                nelder_mead)
+from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
+                             mixed_bell_family, werner)
+from qdiscord.su_basis import decompose, generators
 from tests.corpus import ginibre, ginibre_state, random_valid_omega
+from tests.reference import (analytic_gradient_bell, apply_superop_vectorized,
+                             conditional_entropy, devectorize,
+                             finite_diff_gradient, projectors, reconstruct,
+                             vectorize)
 
 
 _CAPTURE = None

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdiscord.measurement import (conditional_entropy, conditional_entropy_fn,
-                                  from_bloch)
+from qdiscord.measurement import conditional_entropy_fn, from_bloch
 from qdiscord.optimizer import grid_oracle
-from tests.corpus import ginibre_state
+from qdiscord.states import DensityMatrix
+from tests.corpus import ginibre, ginibre_state
+from tests.reference import conditional_entropy
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
@@ -45,6 +46,24 @@ def test_batch_matches_scalar_and_direct_route(seed, m):
     direct = [conditional_entropy(rho, from_bloch(d)) for d in dirs]
     assert np.max(np.abs(batch - scalar)) < 1e-12
     assert np.max(np.abs(batch - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_batch_keeps_an_outcome_of_tiny_weight(m):
+    # B is |1> with weight 1e-8 beside a mixed A, so along z the rare
+    # outcome adds about 1e-8 bits: it must count, since its weight is far
+    # above PROB_FLOOR.
+    rng = np.random.default_rng(31)
+    eps = 1e-8
+    rho = DensityMatrix((m, 2),
+                        (1 - eps) * np.kron(ginibre(rng, m), np.diag([1, 0]))
+                        + eps * np.kron(ginibre(rng, m), np.diag([0, 1])))
+    dirs = np.array([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+    evaluate = conditional_entropy_fn(rho)
+    batch = evaluate(dirs)
+    for d, value in zip(dirs, batch):
+        assert abs(value - evaluate(tuple(d))) < 1e-12
+        assert abs(value - conditional_entropy(rho, from_bloch(d))) < 1e-12
 
 
 def per_point_oracle(evaluate, resolution):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 from pathlib import Path
 
@@ -566,3 +567,40 @@ def test_readme_config_keys_match_option_table():
     assert sorted((key, flag, tuple(commands.split(", ")))
                   for key, flag, commands in rows) == sorted(
         (key, flag, commands) for flag, key, _, _, commands in _OPTIONS if key)
+
+
+def _state_file_with(**fields):
+    data = {"dims": [2, 2], "re": (np.eye(4) / 4).tolist(),
+            "im": np.zeros((4, 4)).tolist()}
+    data.update(fields)
+    return json.dumps(data)
+
+
+_NAN_RE = (np.eye(4) / 4).tolist()
+_NAN_RE[0][1] = math.nan
+_INF_IM = np.zeros((4, 4)).tolist()
+_INF_IM[2][1] = math.inf
+_STRING_RE = (np.eye(4) / 4).tolist()
+_STRING_RE[0][0] = "0.25"
+_BOOL_IM = np.zeros((4, 4)).tolist()
+_BOOL_IM[3][3] = False
+MALFORMED_STATE_FILES = {
+    "dims float": (_state_file_with(dims=[2.7, 2]), "'dims'"),
+    "dims bool": (_state_file_with(dims=[True, 2]), "'dims'"),
+    "nan entry": (_state_file_with(re=_NAN_RE), "'re'"),
+    "inf entry": (_state_file_with(im=_INF_IM), "'im'"),
+    "string entry": (_state_file_with(re=_STRING_RE), "'re'"),
+    "bool entry": (_state_file_with(im=_BOOL_IM), "'im'"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "compute"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_STATE_FILES))
+def test_state_file_fields_are_checked(case, command, tmp_path, capsys):
+    text, field = MALFORMED_STATE_FILES[case]
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    assert main([command, "--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: malformed state file: ", err)
+    assert field in err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdiscord.correlations import (CorrelationReport,
+from qdiscord.correlations import (CorrelationReport, _clamp_small_negative,
                                    minimize_conditional_entropy,
                                    mutual_information, quantum_discord)
 from qdiscord.linalg import binary_entropy, von_neumann_entropy
@@ -198,3 +198,13 @@ def test_discord_maximally_mixed_all_zero():
     assert report.mutual_information == pytest.approx(0.0, abs=1e-10)
     assert report.classical_correlation == pytest.approx(0.0, abs=1e-10)
     assert report.discord == pytest.approx(0.0, abs=1e-10)
+
+
+def test_clamp_only_round_off_negatives():
+    # Only values above -NEGATIVE_CLAMP are round-off: -5e-7 is reported
+    # as it is, and -5e-10 becomes 0 and is named in the stats.
+    clamped = []
+    assert _clamp_small_negative(-5e-7, clamped, "discord") == -5e-7
+    assert clamped == []
+    assert _clamp_small_negative(-5e-10, clamped, "discord") == 0.0
+    assert clamped == ["discord"]

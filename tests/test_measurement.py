@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import PAULIS, binary_entropy, von_neumann_entropy
-from qdiscord.measurement import (PROB_FLOOR, _bloch_jacobian,
-                                  apply_superop_vectorized,
-                                  bell_conditional_entropy, bloch_of_angles,
-                                  conditional_entropy, conditional_entropy_fn,
-                                  from_angles,
-                                  from_bloch, hyperspherical_angles,
-                                  projectors, vectorized_conditional_entropy,
-                                  VonNeumannMeasurement)
+from qdiscord.measurement import (PROB_FLOOR, bell_conditional_entropy,
+                                  bloch_of_angles, conditional_entropy_fn,
+                                  from_angles, from_bloch,
+                                  hyperspherical_angles, VonNeumannMeasurement)
 from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
-                             vectorize, werner)
+                             werner)
 from tests.corpus import ginibre_state, random_valid_omega
+from tests.reference import (_bloch_jacobian, apply_superop_vectorized,
+                             conditional_entropy, projectors,
+                             vectorize, vectorized_conditional_entropy)
 
 
 def random_measurement(rng):
@@ -239,7 +238,7 @@ def test_superop_identity_basis_on_product_state():
 
 
 def test_superop_matches_direct_route():
-    from qdiscord.states import devectorize
+    from tests.reference import devectorize
 
     rng = np.random.default_rng(80)
     for _ in range(100):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import binary_entropy
-from qdiscord.measurement import (analytic_gradient_bell,
-                                  bell_conditional_entropy, bloch_of_angles,
-                                  conditional_entropy, conditional_entropy_fn,
-                                  from_angles, from_bloch,
-                                  hyperspherical_angles)
-from qdiscord.optimizer import (OptimizerConfig, finite_diff_gradient,
-                                gradient_descent, _cell_grid, grid_oracle,
-                                multi_start, nelder_mead)
+from qdiscord.measurement import (bell_conditional_entropy, bloch_of_angles,
+                                  conditional_entropy_fn, from_angles,
+                                  from_bloch, hyperspherical_angles)
+from qdiscord.optimizer import (OptimizerConfig, gradient_descent, _cell_grid,
+                                grid_oracle, multi_start, nelder_mead)
 from qdiscord.states import DensityMatrix, bell_diagonal, werner
 from tests.corpus import random_valid_omega
+from tests.reference import (analytic_gradient_bell, conditional_entropy,
+                             finite_diff_gradient)
 from tests.reference import nelder_mead as array_nelder_mead
 
 
@@ -268,6 +267,20 @@ def test_multi_start_deterministic():
     assert np.array_equal(r1.best_params, r2.best_params)
     assert r1.best_value == r2.best_value
     assert r1.iterations == r2.iterations
+
+
+def test_multi_start_ties_go_to_the_first_start():
+    def cost(theta):
+        return 0.25
+
+    cfg = OptimizerConfig(restarts=3, seed=5)
+    starts = [hyperspherical_angles(from_bloch(d))
+              for d in ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0))]
+    first, last_axis = (nelder_mead(cost, s, cfg) for s in starts)
+    assert not np.array_equal(first.best_params, last_axis.best_params)
+    res = multi_start(nelder_mead, cost, cfg)
+    assert np.array_equal(res.best_params, first.best_params)
+    assert res.best_value == first.best_value
 
 
 def test_multi_start_beats_single_starts():

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from qdiscord.correlations import quantum_discord
 from qdiscord.linalg import von_neumann_entropy
-from qdiscord.measurement import (conditional_entropy, conditional_entropy_fn,
-                                  from_angles)
+from qdiscord.measurement import conditional_entropy_fn, from_angles
 from qdiscord.optimizer import grid_oracle
 from qdiscord.states import DensityMatrix
 from tests.corpus import ginibre
+from tests.reference import conditional_entropy
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)

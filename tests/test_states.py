@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qdiscord.linalg import hermitian_eig
-from qdiscord.states import (DensityMatrix, bell_diagonal, devectorize,
-                             fixed_random_state, load_state, mixed_bell_family,
-                             save_state, vectorize, werner)
+from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
+                             load_state, mixed_bell_family, save_state, werner)
+from tests.reference import devectorize, vectorize
 
 
 def test_werner_endpoints():

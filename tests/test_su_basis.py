@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from qdiscord.states import werner
-from qdiscord.su_basis import decompose, generators, reconstruct
+from qdiscord.su_basis import decompose, generators
 from tests.corpus import ginibre
+from tests.reference import reconstruct
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
