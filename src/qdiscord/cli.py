@@ -20,6 +20,7 @@ import math
 import operator
 import os
 import sys
+from dataclasses import asdict
 
 from .correlations import quantum_discord
 from .linalg import von_neumann_entropy
@@ -34,6 +35,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+# The sweep CSV's fixed columns: param, then fields of the report or of
+# its stats, looked up by name.
 CSV_COLUMNS = ("param", "mutual_information", "classical_correlation",
                "discord", "min_conditional_entropy",
                "oracle_min_conditional_entropy", "iterations", "converged")
@@ -125,25 +128,13 @@ def _fmt(x: float) -> str:
     return f"{x:.10f}"
 
 
-def _report_dict(report) -> dict:
-    stats = report.optimizer_stats
-    meas = report.optimal_measurement
-    return {
-        "mutual_information": report.mutual_information,
-        "classical_correlation": report.classical_correlation,
-        "discord": report.discord,
-        "min_conditional_entropy": report.min_conditional_entropy,
-        "optimal_measurement": {"r": meas.r, "y": list(meas.y)},
-        "optimizer_stats": {
-            "method": stats.method,
-            "iterations": stats.iterations,
-            "restarts": stats.restarts,
-            "converged": stats.converged,
-            "used_bell_fast_path": stats.used_bell_fast_path,
-            "clamped_values": list(stats.clamped_values),
-            "oracle_gap": stats.oracle_gap,
-        },
-    }
+def _csv_text(value) -> str:
+    """One report value as CSV text: None empty, bools lower-case."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):  # before int: a bool is an int
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else _fmt(value)
 
 
 def cmd_compute(args) -> int:
@@ -165,7 +156,7 @@ def cmd_compute(args) -> int:
         print(f"oracle gap              {stats.oracle_gap:+.3e}")
     if args.out:
         with open(args.out, "w") as f:
-            json.dump(_report_dict(report), f, indent=1)
+            json.dump(asdict(report), f, indent=1)
             f.write("\n")
     return EXIT_OK if stats.converged else EXIT_NOT_CONVERGED
 
@@ -263,18 +254,10 @@ def cmd_sweep(args) -> int:
             rho, args.optimizer,
             oracle_resolution=args.oracle_resolution if args.oracle else None)
         stats = report.optimizer_stats
-        oracle_val = stats.oracle_min_conditional_entropy
         all_converged = all_converged and stats.converged
-        lines.append(",".join([
-            _fmt(a),
-            _fmt(report.mutual_information),
-            _fmt(report.classical_correlation),
-            _fmt(report.discord),
-            _fmt(report.min_conditional_entropy),
-            "" if oracle_val is None else _fmt(oracle_val),
-            str(stats.iterations),
-            "true" if stats.converged else "false",
-        ]))
+        # The report's and the stats' field names do not overlap.
+        values = {"param": a, **vars(report), **vars(stats)}
+        lines.append(",".join(_csv_text(values[c]) for c in CSV_COLUMNS))
     csv_text = "\n".join(lines) + "\n"
     out_path = args.out or "sweep.csv"
     with open(out_path, "w") as f:

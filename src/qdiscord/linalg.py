@@ -133,9 +133,11 @@ def is_density_matrix(m: np.ndarray, tol: float = 1e-9) -> ValidityReport:
 def _validity_and_eig(m: np.ndarray, tol: float):
     """is_density_matrix's report, and the hermitian_eig of the Hermitian
     part (M + M^dag)/2 that its minimum eigenvalue comes from."""
-    if not 0 < tol < math.inf:
+    # Below 1 the trace defect keeps Re Tr > 0, so the clipped spectrum
+    # that load_state renormalizes has a positive sum.
+    if not 0 < tol < 1:
         raise ValueError(f"input tolerance must be positive and finite, "
-                         f"not {tol}")
+                         f"below 1, not {tol}")
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError("density matrix candidate must be square")

@@ -18,6 +18,10 @@ from .linalg import PAULIS, binary_entropy
 from .states import DensityMatrix
 
 PROB_FLOOR = 1e-12
+# The m > 2 batch holds about 80 B per direction per entry of an m x m
+# block (measured peak RSS of grid scans); a batch that would need more
+# than this many bytes is refused before it allocates.
+SCAN_MEMORY_BUDGET = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,12 @@ def conditional_entropy_fn(rho: DensityMatrix):
         tr_pauli = np.trace(t_pauli, axis1=1, axis2=2).real
 
         def evaluate_batch(directions: np.ndarray) -> np.ndarray:
+            need = len(directions) * m * m * 80
+            if need > SCAN_MEMORY_BUDGET:
+                raise ValueError(
+                    f"a scan of {len(directions)} directions on a {m}x2 "
+                    f"state needs about {need / 1e9:.1f} GB, above the "
+                    f"{SCAN_MEMORY_BUDGET / 1e9:g} GB scan memory budget")
             zs = (directions @ flat_pauli).reshape(-1, m, m)
             blocks = 0.5 * (t_id + signs[..., None, None] * zs)
             p = 0.5 * (tr_id + signs * (directions @ tr_pauli))

@@ -24,7 +24,8 @@ METHODS = ("nelder_mead", "grid_then_polish")
 # at once, about 80 B x m**2 each on an m x 2 state, so its memory grows
 # with m**2: at the cap, about 330 MB on 2x2 and 780 MB on 3x2, but a
 # 16x2 state takes about 820 MB already at resolution 200.  The cap
-# bounds the resolution, not the memory.
+# bounds the resolution; measurement.SCAN_MEMORY_BUDGET bounds the
+# memory, refusing an m > 2 scan above 1 GB (a 64x2 state at 200).
 MIN_ORACLE_RESOLUTION, MAX_ORACLE_RESOLUTION = 8, 1000
 
 

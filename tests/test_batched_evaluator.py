@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdiscord import measurement
 from qdiscord.measurement import conditional_entropy_fn, from_bloch
 from qdiscord.optimizer import grid_oracle
 from qdiscord.states import DensityMatrix
@@ -111,3 +112,16 @@ def test_vectorised_oracle_matches_per_point_search(m, seed):
     # the two cells apart and rounding decides which one a search keeps.
     z, loop_z = meas.bloch_direction(), loop_meas.bloch_direction()
     assert min(np.max(np.abs(z - loop_z)), np.max(np.abs(z + loop_z))) < 1e-9
+
+
+def test_scan_memory_budget_refuses_only_above_it(monkeypatch):
+    # An m > 2 batch of N directions is charged N * m**2 * 80 bytes.  At
+    # exactly the budget it runs; one byte less refuses, naming N and m.
+    evaluate = conditional_entropy_fn(
+        ginibre_state(np.random.default_rng(4), (3, 2)))
+    dirs = unit_directions(np.random.default_rng(5), 10)
+    monkeypatch.setattr(measurement, "SCAN_MEMORY_BUDGET", 10 * 9 * 80)
+    assert evaluate(dirs).shape == (10,)
+    monkeypatch.setattr(measurement, "SCAN_MEMORY_BUDGET", 10 * 9 * 80 - 1)
+    with pytest.raises(ValueError, match="10 directions on a 3x2 state"):
+        evaluate(dirs)

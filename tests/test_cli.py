@@ -2,16 +2,20 @@ import argparse
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdiscord.cli import (_OPTIONS, CSV_COLUMNS, MAX_SWEEP_ROWS, _sweep_params,
-                          build_parser, main)
-from qdiscord.measurement import conditional_entropy_fn
+from qdiscord.cli import (_OPTIONS, CSV_COLUMNS, MAX_SWEEP_ROWS, _fmt,
+                          _sweep_params, build_parser, main)
+from qdiscord.correlations import (CorrelationReport, OptimizerStats,
+                                   quantum_discord)
+from qdiscord.measurement import (VonNeumannMeasurement,
+                                  conditional_entropy_fn)
 from qdiscord.optimizer import grid_oracle
-from qdiscord.states import save_state, werner
+from qdiscord.states import load_state, save_state, werner
 
 
 @pytest.fixture
@@ -38,6 +42,45 @@ def test_compute_writes_json_report(werner_file, tmp_path, capsys):
     assert data["discord"] == pytest.approx(0.2624831838, abs=1e-8)
     assert data["optimizer_stats"]["used_bell_fast_path"] is False
     assert data["optimizer_stats"]["converged"] is True
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def test_compute_json_keys_are_the_report_fields(werner_file, tmp_path):
+    out_path = tmp_path / "report.json"
+    assert main(["compute", "--state", werner_file, "--oracle",
+                 "--oracle-resolution", "24", "--out", str(out_path)]) == 0
+    data = json.loads(out_path.read_text())
+    assert set(data) == _field_names(CorrelationReport)
+    assert set(data["optimal_measurement"]) == \
+        _field_names(VonNeumannMeasurement)
+    assert set(data["optimizer_stats"]) == _field_names(OptimizerStats)
+
+
+def test_csv_columns_are_report_fields():
+    # A sweep row looks its columns up in one dict of both field sets.
+    report, stats = (_field_names(CorrelationReport),
+                     _field_names(OptimizerStats))
+    assert not report & stats
+    assert set(CSV_COLUMNS) - {"param"} <= report | stats
+
+
+def test_oracle_minimum_is_one_value_in_json_and_csv(werner_file, tmp_path):
+    json_path, csv_path = tmp_path / "report.json", tmp_path / "sweep.csv"
+    assert main(["compute", "--state", werner_file, "--oracle",
+                 "--oracle-resolution", "24", "--out", str(json_path)]) == 0
+    value = json.loads(json_path.read_text())["optimizer_stats"][
+        "oracle_min_conditional_entropy"]
+    report = quantum_discord(load_state(werner_file), oracle_resolution=24)
+    assert value == report.optimizer_stats.oracle_min_conditional_entropy
+    assert main(["sweep", "--family", "werner", "--start", "0.5", "--end",
+                 "0.5", "--step", "1", "--oracle", "--oracle-resolution",
+                 "24", "--out", str(csv_path)]) == 0
+    row = csv_path.read_text().splitlines()[1].split(",")
+    assert row[CSV_COLUMNS.index("oracle_min_conditional_entropy")] == \
+        _fmt(value)
 
 
 def test_compute_with_oracle_gap(werner_file, capsys):
@@ -415,6 +458,34 @@ def test_negative_input_tolerance_is_an_error(werner_file, capsys):
                      "--tolerance-input", "-1"]) == 1
         assert "error: input tolerance must be positive" in \
             capsys.readouterr().err
+
+
+def test_input_tolerance_of_one_or_more_is_an_error(tmp_path, capsys):
+    # At a tolerance of 2 an all-zero matrix passed every check and had
+    # no state to renormalize to.
+    path = tmp_path / "zero.json"
+    zero = np.zeros((4, 4)).tolist()
+    path.write_text(json.dumps({"dims": [2, 2], "re": zero, "im": zero}))
+    for command in ("validate", "compute", "oracle"):
+        assert main([command, "--state", str(path),
+                     "--tolerance-input", "2"]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: input tolerance must be positive") \
+            and "below 1" in err, (command, err)
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["compute", "--oracle"]])
+def test_scan_above_the_memory_budget_is_an_error(argv, tmp_path, capsys):
+    # A 64x2 state's res-200 scan would need about 13 GB; it is refused
+    # before anything large is allocated.
+    path = tmp_path / "mixed64.json"
+    path.write_text(json.dumps({"dims": [64, 2],
+                                "re": (np.eye(128) / 128).tolist(),
+                                "im": np.zeros((128, 128)).tolist()}))
+    assert main(argv + ["--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a scan of 40000 directions on a 64x2 state")
+    assert "1 GB scan memory budget" in err
 
 
 def test_oracle_resolution_above_cap_is_an_error(werner_file, capsys):

@@ -166,7 +166,7 @@ def test_density_matrix_report():
     assert is_density_matrix(werner(1.0).matrix).valid
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0])
 def test_density_matrix_tolerance_must_be_positive(tol):
     with pytest.raises(ValueError, match="tolerance must be positive"):
         is_density_matrix(werner(0.5).matrix, tol)

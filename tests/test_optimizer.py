@@ -218,6 +218,15 @@ def test_grid_oracle_flat_costs():
         grid_oracle(conditional_entropy_fn(w), 4)
 
 
+def test_grid_oracle_ties_go_to_the_first_cell():
+    # On a constant cost every grid point and every refinement point
+    # ties, so the answer is the first cell centre in row-major order.
+    val, meas = grid_oracle(lambda d: np.ones(len(d)), 8)
+    assert val == 1.0
+    assert np.allclose(meas.bloch_direction(), _cell_grid(8)[2][0],
+                       atol=1e-12)
+
+
 def test_grid_oracle_rejects_resolution_above_cap_before_scanning():
     def cost(directions):
         raise AssertionError("the cost must not be called")
