@@ -34,6 +34,7 @@ MEMORY_LIMIT_B = 4 * 2 ** 30
 
 M = "src/qdiscord/measurement.py"
 O = "src/qdiscord/optimizer.py"
+L = "src/qdiscord/linalg.py"
 
 MUTANTS = (
     # The conditional-entropy evaluator.
@@ -54,8 +55,11 @@ MUTANTS = (
      "2x2 scalar: no disc <= p clip, so round-off gives negative entropies"),
     (M, "if p < PROB_FLOOR:", "if p < 1e-6:",
      "2x2 scalar: outcomes of weight below 1e-6 dropped"),
-    (M, "kept = p >= PROB_FLOOR", "kept = p >= 1e-6",
+    (L, "kept = p >= PROB_FLOOR", "kept = p >= 1e-6",
      "batch: outcomes of weight below 1e-6 dropped"),
+    (L, "lam = np.where(lam > 0.0, lam, p)",
+     "lam = np.where(lam >= 0.0, lam, p)",
+     "spectral entropy: a zero eigenvalue's 0 log 0 taken as 0 * -inf"),
     (M, "if need > SCAN_MEMORY_BUDGET:", "if need >= SCAN_MEMORY_BUDGET:",
      "scan budget: a batch of exactly the budget refused"),
     (M, "need = len(directions) * m * m * 80",
@@ -88,15 +92,25 @@ MUTANTS = (
     # Tolerances and clamps.
     ("src/qdiscord/correlations.py", "NEGATIVE_CLAMP = 1e-9",
      "NEGATIVE_CLAMP = 1e-6", "a C or QD of -5e-7 reported as 0"),
-    ("src/qdiscord/linalg.py", "PSD_TOL = 1e-8", "PSD_TOL = 1e-4",
-     "entropy_of_spectrum accepts an eigenvalue of -1e-6"),
-    ("src/qdiscord/linalg.py", "if not 0 < tol < 1:",
+    (L, "PSD_TOL = 1e-8", "PSD_TOL = 1e-4",
+     "von_neumann_entropy accepts an eigenvalue of -1e-6"),
+    (L, "if vals[0] < -PSD_TOL:", "if vals[-1] < -PSD_TOL:",
+     "von_neumann_entropy checks the largest eigenvalue, not the smallest"),
+    (L, "if not 0 < tol < 1:",
      "if not 0 < tol <= 1:",
      "an input tolerance of 1 lets a zero-trace matrix through"),
     ("src/qdiscord/states.py", "lam = np.clip(lam, 0.0, None)",
      "lam = np.clip(lam, -1.0, None)",
      "load_state keeps negative eigenvalues within tolerance"),
+    ("src/qdiscord/states.py", "if not np.isfinite(omega).all():",
+     "if not np.isfinite(omega).any():",
+     "bell_diagonal builds a matrix from a partly non-finite omega"),
     # The command line.
+    ("src/qdiscord/cli.py", "for k in range(MAX_SWEEP_ROWS + 1):",
+     "for k in range(MAX_SWEEP_ROWS + 2):",
+     "sweep cap: one row past the cap admitted"),
+    ("src/qdiscord/cli.py", "last = end + 1e-12", "last = end",
+     "sweep: no round-off slack for the final row"),
     ("src/qdiscord/cli.py", "ok = type(value) in types",
      "ok = isinstance(value, types)",
      "config files: true accepted as an integer"),

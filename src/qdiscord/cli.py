@@ -225,17 +225,14 @@ def _sweep_params(start: float, end: float, step: float):
         raise ValueError("step must be positive")
     if start > end:
         raise ValueError("start must not exceed end")
-    if (end - start) / step >= MAX_SWEEP_ROWS:
-        raise ValueError(f"a sweep has at most {MAX_SWEEP_ROWS} rows")
-    out = []
-    k = 0
-    while True:
+    last = end + 1e-12  # round-off slack for the final row
+    rows = []
+    for k in range(MAX_SWEEP_ROWS + 1):
         a = start + k * step
-        if a > end + 1e-12:
-            break
-        out.append(min(a, end))
-        k += 1
-    return out
+        if a > last:
+            return rows
+        rows.append(min(a, end))
+    raise ValueError(f"a sweep has at most {MAX_SWEEP_ROWS} rows")
 
 
 def cmd_sweep(args) -> int:

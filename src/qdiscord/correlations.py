@@ -8,13 +8,11 @@ identity I = C + QD holds exactly in every report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .linalg import von_neumann_entropy
-from .measurement import (VonNeumannMeasurement, bloch_of_angles,
-                          conditional_entropy_fn, from_angles,
-                          hyperspherical_angles)
-from .optimizer import OptimizerConfig, grid_oracle, multi_start, nelder_mead
+from .measurement import VonNeumannMeasurement, conditional_entropy_fn
+from .optimizer import OptimizerConfig, grid_oracle, minimize
 from .states import DensityMatrix
 
 NEGATIVE_CLAMP = 1e-9
@@ -49,33 +47,6 @@ def mutual_information(rho: DensityMatrix) -> float:
             - von_neumann_entropy(rho.matrix))
 
 
-def minimize_conditional_entropy(evaluate, cfg: OptimizerConfig):
-    """Minimum conditional entropy and the optimizing measurement.
-
-    `evaluate` is a state's evaluator from conditional_entropy_fn.  It is
-    minimized by Nelder-Mead from multiple starts or from the best point
-    of a coarse grid.  The cost maps the angles straight to a Bloch
-    direction; only the reported measurement is built.
-    """
-    def cost(theta):
-        return evaluate(bloch_of_angles(theta))
-
-    if cfg.method == "grid_then_polish":
-        # The coarse grid already covers the sphere; restarts add nothing.
-        _, coarse = grid_oracle(evaluate, resolution=24)
-        res = nelder_mead(cost, hyperspherical_angles(coarse), cfg)
-    else:  # nelder_mead
-        res = multi_start(nelder_mead, cost, cfg)
-    meas = from_angles(res.best_params)
-    stats = OptimizerStats(
-        method=cfg.method,
-        iterations=res.iterations,
-        restarts=cfg.restarts,
-        converged=res.converged,
-    )
-    return res.best_value, meas, stats
-
-
 def _clamp_small_negative(value: float, clamped: list, name: str) -> float:
     if -NEGATIVE_CLAMP < value < 0.0:
         clamped.append(name)
@@ -100,7 +71,8 @@ def quantum_discord(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
     if oracle_resolution is not None:
         oracle_val, _ = grid_oracle(evaluate, oracle_resolution)
     mi = mutual_information(rho)
-    min_ent, meas, stats = minimize_conditional_entropy(evaluate, cfg)
+    res, meas = minimize(evaluate, cfg)
+    min_ent = res.best_value
     clamped: list = []
     c = _clamp_small_negative(
         von_neumann_entropy(rho.marginal("A")) - min_ent, clamped,
@@ -108,6 +80,8 @@ def quantum_discord(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
     qd = _clamp_small_negative(mi - c, clamped, "discord")
     if oracle_val is not None:
         gap = min_ent - oracle_val
-    stats = replace(stats, clamped_values=tuple(clamped), oracle_gap=gap,
-                    oracle_min_conditional_entropy=oracle_val)
+    stats = OptimizerStats(cfg.method, res.iterations, cfg.restarts,
+                           res.converged, clamped_values=tuple(clamped),
+                           oracle_gap=gap,
+                           oracle_min_conditional_entropy=oracle_val)
     return CorrelationReport(mi, c, qd, min_ent, meas, stats)

@@ -8,14 +8,17 @@ LAPACK Hermitian eigensolver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Tolerances used throughout; see module docstrings for rationale.
 HERMITICITY_TOL = 1e-9
+# The entropy floors: an eigenvalue above -PSD_TOL is eigensolver
+# round-off and counts as zero; a measurement outcome of weight below
+# PROB_FLOOR contributes nothing.
 PSD_TOL = 1e-8
+PROB_FLOOR = 1e-12
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -68,26 +71,31 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def entropy_of_spectrum(vals) -> float:
-    """-sum lam log2 lam over a spectrum, with 0 log 0 = 0.
+def spectral_entropy(lam: np.ndarray, p=1.0) -> np.ndarray:
+    """sum_i -lam_i log2(lam_i / p) over the last axis of `lam`, which
+    holds spectra of weight `p` (the unnormalised blocks of measurement
+    outcomes, or a density matrix's spectrum at the default p = 1).
 
-    Eigenvalues in (-PSD_TOL, 0) are clamped to zero (eigensolver
-    round-off); anything below -PSD_TOL is a genuine PSD violation.
+    Non-positive eigenvalues contribute 0 (0 log 0 = 0), and spectra
+    with p below PROB_FLOOR contribute nothing.
     """
-    s = 0.0
-    for lam in np.asarray(vals, dtype=float):
-        if lam < -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {lam}: not positive semidefinite")
-        if lam <= 0.0:
-            continue
-        s -= lam * math.log2(lam)
-    return s
+    kept = p >= PROB_FLOOR
+    p = np.where(kept, p, 1.0)[..., None]
+    lam = np.where(lam > 0.0, lam, p)  # -p log2(p / p) = 0
+    return np.where(kept, -(lam * np.log2(lam / p)).sum(axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -Tr(rho log2 rho) in bits."""
+    """S(rho) = -Tr(rho log2 rho) in bits.
+
+    Eigenvalues in (-PSD_TOL, 0) count as zero (eigensolver round-off);
+    anything below -PSD_TOL is a genuine PSD violation.
+    """
     vals, _ = hermitian_eig(rho)
-    return entropy_of_spectrum(vals)
+    if vals[0] < -PSD_TOL:
+        raise ValueError(f"negative eigenvalue {vals[0]}: "
+                         "not positive semidefinite")
+    return float(spectral_entropy(vals))
 
 
 def binary_entropy(x: float) -> float:
@@ -95,12 +103,7 @@ def binary_entropy(x: float) -> float:
     if x < -1e-12 or x > 1.0 + 1e-12:
         raise ValueError(f"binary entropy argument {x} outside [0,1]")
     x = min(max(x, 0.0), 1.0)
-    s = 0.0
-    if x > 0.0:
-        s -= x * math.log2(x)
-    if x < 1.0:
-        s -= (1.0 - x) * math.log2(1.0 - x)
-    return s
+    return float(spectral_entropy(np.array([x, 1.0 - x])))
 
 
 @dataclass(frozen=True)

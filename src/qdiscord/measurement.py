@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, binary_entropy
+from .linalg import PAULIS, PROB_FLOOR, binary_entropy, spectral_entropy
 from .states import DensityMatrix
 
-PROB_FLOOR = 1e-12
 # The m > 2 batch holds about 80 B per direction per entry of an m x m
 # block (measured peak RSS of grid scans); a batch that would need more
 # than this many bytes is refused before it allocates.
@@ -104,19 +103,6 @@ def from_bloch(direction) -> VonNeumannMeasurement:
     )
 
 
-def _outcome_entropies(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_i -lam_i log2(lam_i / p) over the last axis of `lam`, which
-    holds the spectra of the unnormalised outcome blocks of weight `p`.
-
-    Non-positive eigenvalues contribute 0 (0 log 0 = 0), and outcomes
-    with p below PROB_FLOOR contribute nothing.
-    """
-    kept = p >= PROB_FLOOR
-    p = np.where(kept, p, 1.0)[..., None]
-    lam = np.where(lam > 0.0, lam, p)  # -p log2(p / p) = 0
-    return np.where(kept, -(lam * np.log2(lam / p)).sum(axis=-1), 0.0)
-
-
 def conditional_entropy_fn(rho: DensityMatrix):
     """Precompiled conditional-entropy evaluator for a fixed state.
 
@@ -156,7 +142,7 @@ def conditional_entropy_fn(rho: DensityMatrix):
             zs = (directions @ flat_pauli).reshape(-1, m, m)
             blocks = 0.5 * (t_id + signs[..., None, None] * zs)
             p = 0.5 * (tr_id + signs * (directions @ tr_pauli))
-            ent = _outcome_entropies(np.linalg.eigvalsh(blocks), p)
+            ent = spectral_entropy(np.linalg.eigvalsh(blocks), p)
             return ent.sum(axis=0)
 
         def evaluate_one(z1, z2, z3):
@@ -187,7 +173,7 @@ def conditional_entropy_fn(rho: DensityMatrix):
                                   + 4.0 * (b_re ** 2 + b_im ** 2), 0.0))
         disc = np.minimum(disc, p)  # a PSD block's eigenvalues lie in [0, p]
         lam = 0.5 * np.stack((p - disc, p + disc), axis=-1)
-        return _outcome_entropies(lam, p).sum(axis=0)
+        return spectral_entropy(lam, p).sum(axis=0)
 
     def evaluate_one(z1, z2, z3):
         az = z1 * aa[1] + z2 * aa[2] + z3 * aa[3]

@@ -1,11 +1,11 @@
 """Minimizers for the conditional-entropy cost over measurement angles.
 
 Costs are pure functions of a 3-vector of unconstrained hyperspherical
-angles.  Nelder-Mead, from multiple starts or polishing a coarse grid
-point, is the minimizer that reports use.  A brute-force sphere grid
-with local refinement, evaluated in batches of Bloch directions, serves
-as the independent verification oracle.  Gradient descent is a test
-reference; finite differences are in tests/reference.py.
+angles.  `minimize` is the search that reports use: Nelder-Mead, from
+multiple starts or polishing a coarse grid point.  A brute-force sphere
+grid with local refinement, evaluated in batches of Bloch directions,
+serves as the independent verification oracle.  Gradient descent is a
+test reference; finite differences are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from operator import add
 
 import numpy as np
 
-from .measurement import from_bloch, hyperspherical_angles
+from .measurement import (bloch_of_angles, from_angles, from_bloch,
+                          hyperspherical_angles)
 
 METHODS = ("nelder_mead", "grid_then_polish")
 # grid_oracle's resolution range.  A scan holds resolution**2 directions
@@ -55,6 +56,27 @@ class OptimizationResult:
     iterations: int
     converged: bool
     trace: tuple = ()
+
+
+def minimize(evaluate, cfg: OptimizerConfig):
+    """The OptimizationResult of minimizing a state's conditional entropy
+    over measurements, and the optimizing measurement.
+
+    `evaluate` is a state's evaluator from conditional_entropy_fn.  It is
+    minimized by Nelder-Mead from multiple starts or from the best point
+    of a coarse grid.  The cost maps the angles straight to a Bloch
+    direction; only the reported measurement is built.
+    """
+    def cost(theta):
+        return evaluate(bloch_of_angles(theta))
+
+    if cfg.method == "grid_then_polish":
+        # The coarse grid already covers the sphere; restarts add nothing.
+        _, coarse = grid_oracle(evaluate, resolution=24)
+        res = nelder_mead(cost, hyperspherical_angles(coarse), cfg)
+    else:  # nelder_mead
+        res = multi_start(nelder_mead, cost, cfg)
+    return res, from_angles(res.best_params)
 
 
 def gradient_descent(cost, grad, theta0, cfg: OptimizerConfig,

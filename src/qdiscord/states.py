@@ -75,6 +75,8 @@ def bell_diagonal(omega) -> DensityMatrix:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (3,):
         raise ValueError("omega must be a real 3-vector")
+    if not np.isfinite(omega).all():
+        raise ValueError(f"omega {tuple(omega.tolist())} is not finite")
     rho = np.eye(4, dtype=complex)
     for w, s in zip(omega, PAULIS):
         rho += w * np.kron(s, s)

@@ -498,13 +498,13 @@ def test_oracle_resolution_above_cap_is_an_error(werner_file, capsys):
 @pytest.fixture
 def no_search(monkeypatch):
     """Fails the test if any report starts its minimisation."""
-    from qdiscord import correlations
+    from qdiscord import optimizer
 
     def search(*args):
         raise AssertionError("the minimiser ran")
 
-    monkeypatch.setattr(correlations, "multi_start", search)
-    monkeypatch.setattr(correlations, "nelder_mead", search)
+    monkeypatch.setattr(optimizer, "multi_start", search)
+    monkeypatch.setattr(optimizer, "nelder_mead", search)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -536,6 +536,18 @@ def test_invalid_bell_diagonal_message_prints_plain_floats(tmp_path, capsys):
     assert err.startswith("error: invalid state at parameter 0.6")
     assert ("omega (-0.6000000000000001, 0.30000000000000004, "
             "-0.18000000000000002) gives negative eigenvalue") in err
+
+
+def test_non_finite_omega_is_refused_before_the_matrix(tmp_path, capsys):
+    # 1e308*10 overflows to inf without raising.
+    out_path = tmp_path / "s.csv"
+    assert main(["sweep", "--family", "bell_diagonal",
+                 "--omega=1e308*10,0,0", "--start", "0", "--end", "0",
+                 "--step", "1", "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid state at parameter 0.0: "
+                          "omega (inf, 0.0, 0.0) is not finite")
+    assert not out_path.exists()
 
 
 def test_sweep_oracle_column_is_the_grid_oracle(tmp_path):
@@ -614,6 +626,14 @@ def test_sweep_grid_is_bounded(start, end, step, message, tmp_path, capsys):
 def test_sweep_of_exactly_the_row_cap_is_accepted():
     assert len(_sweep_params(0.0, 1.0, 1.0 / (MAX_SWEEP_ROWS - 1))) \
         == MAX_SWEEP_ROWS
+
+
+def test_sweep_cap_counts_the_final_row_slack():
+    # The end slack of 1e-12 lets a row at 1.0 into a sweep ending at
+    # 1 - 5e-13, which makes MAX_SWEEP_ROWS + 1 rows.
+    with pytest.raises(ValueError, match=f"at most {MAX_SWEEP_ROWS} rows"):
+        _sweep_params(0.0, 1 - 5e-13, 1e-4)
+    assert len(_sweep_params(0.0, 0.9999, 1e-4)) == MAX_SWEEP_ROWS
 
 
 def _readme_section(start, end):

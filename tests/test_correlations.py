@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from qdiscord.correlations import (CorrelationReport, _clamp_small_negative,
-                                   minimize_conditional_entropy,
                                    mutual_information, quantum_discord)
 from qdiscord.linalg import binary_entropy, von_neumann_entropy
 from qdiscord.measurement import conditional_entropy_fn
-from qdiscord.optimizer import OptimizerConfig, grid_oracle
+from qdiscord.optimizer import OptimizerConfig, grid_oracle, minimize
 from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
                              mixed_bell_family, werner)
 from tests.corpus import random_valid_omega
@@ -62,9 +61,9 @@ def test_mutual_information_bell_matches_general():
 def test_minimize_werner_closed_form():
     cfg = OptimizerConfig()
     for a in (0.2, 0.5, 0.8):
-        val, _, _ = minimize_conditional_entropy(
-            conditional_entropy_fn(werner(a)), cfg)
-        assert val == pytest.approx(binary_entropy((1 + a) / 2), abs=1e-9)
+        res, _ = minimize(conditional_entropy_fn(werner(a)), cfg)
+        assert res.best_value == pytest.approx(binary_entropy((1 + a) / 2),
+                                               abs=1e-9)
 
 
 def test_classical_correlation_werner():

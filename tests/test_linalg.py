@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdiscord.linalg import (binary_entropy, entropy_of_spectrum, hermitian_eig,
-                             is_density_matrix, partial_trace,
-                             von_neumann_entropy)
+from qdiscord.linalg import (binary_entropy, hermitian_eig, is_density_matrix,
+                             partial_trace, von_neumann_entropy)
 from qdiscord.states import werner
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -143,9 +142,9 @@ def test_entropy_rejects_negative_spectrum():
 def test_entropy_of_spectrum_clamps_round_off_only():
     # Eigenvalues above -PSD_TOL are eigensolver round-off and count as
     # zero; -1e-6 is a genuine violation.
-    assert entropy_of_spectrum([0.5, 0.5, -1e-9]) == 1.0
+    assert von_neumann_entropy(np.diag([0.5, 0.5, -1e-9])) == 1.0
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        entropy_of_spectrum([0.5, 0.5, -1e-6])
+        von_neumann_entropy(np.diag([0.5, 0.5, -1e-6]))
 
 
 def test_binary_entropy_values():

@@ -62,6 +62,12 @@ def test_bell_diagonal_cases():
         bell_diagonal((1, 1, 1))
 
 
+def test_bell_diagonal_refuses_non_finite_omega():
+    with pytest.raises(ValueError, match=r"omega \(nan, 0.0, 0.0\) is not "
+                                         "finite"):
+        bell_diagonal((math.nan, 0, 0))
+
+
 def test_fixed_random_state_entries():
     rho = fixed_random_state()
     assert rho.matrix[0, 0].real == pytest.approx(0.437, abs=2e-3)
