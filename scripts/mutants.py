@@ -68,6 +68,24 @@ MUTANTS = (
     (M, "-math.sin(half) * math.cos(phi), 0.0)",
      "math.sin(half) * math.cos(phi), 0.0)",
      "from_bloch: the measurement's y2 sign flipped"),
+    (M, "if z.ndim != 2 or z.shape[1] != 3:", "if False:",
+     "evaluator: a (3,) array taken as a batch of one"),
+    # Refusals of NaN, zero and non-finite inputs.
+    (M, "if not abs(norm - 1.0) <= 1e-12:", "if abs(norm - 1.0) > 1e-12:",
+     "VonNeumannMeasurement: a NaN norm passes the check"),
+    (M, "if not 0.0 < norm < math.inf:", "if False:",
+     "from_bloch: a zero or non-finite direction divided by its length"),
+    (M, "if not 0.0 < norm < math.inf:",
+     "if norm == 0.0 or norm == math.inf:",
+     "from_bloch: a NaN length passes the check"),
+    (L, "if not np.isfinite(rho).all():", "if False:",
+     "von_neumann_entropy: a non-finite matrix reaches the eigensolver"),
+    (L, "if not -1e-12 <= x <= 1.0 + 1e-12:",
+     "if x < -1e-12 or x > 1.0 + 1e-12:",
+     "binary_entropy: NaN passes the range check"),
+    (L, "np.subtract(0.0, (lam * np.log2(lam / p)).sum(axis=-1))",
+     "-(lam * np.log2(lam / p)).sum(axis=-1)",
+     "spectral_entropy: a zero entropy comes out as -0.0"),
     # The grid oracle and Nelder-Mead.
     (O, "    values = cost_of_directions(directions)\n"
         "    k = int(np.argmin(values))",

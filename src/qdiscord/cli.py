@@ -281,9 +281,8 @@ def _plot_script(csv_name: str) -> str:
 
 def cmd_oracle(args) -> int:
     rho = load_state(args.state, args.tolerance_input)
-    value, meas = grid_oracle(conditional_entropy_fn(rho),
-                              args.oracle_resolution)
-    direction = meas.bloch_direction()
+    value, direction = grid_oracle(conditional_entropy_fn(rho),
+                                   args.oracle_resolution)
     print(f"grid minimum conditional entropy {_fmt(value)} bits "
           f"(resolution {args.oracle_resolution}, refined)")
     print(f"optimal projector direction      ({direction[0]:+.6f}, "

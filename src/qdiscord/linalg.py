@@ -76,13 +76,14 @@ def spectral_entropy(lam: np.ndarray, p=1.0) -> np.ndarray:
     holds spectra of weight `p` (the unnormalised blocks of measurement
     outcomes, or a density matrix's spectrum at the default p = 1).
 
-    Non-positive eigenvalues contribute 0 (0 log 0 = 0), and spectra
-    with p below PROB_FLOOR contribute nothing.
+    Non-positive eigenvalues contribute 0 (0 log 0 = 0), spectra with p
+    below PROB_FLOOR nothing, and a zero entropy is +0.0, not -0.0.
     """
     kept = p >= PROB_FLOOR
     p = np.where(kept, p, 1.0)[..., None]
     lam = np.where(lam > 0.0, lam, p)  # -p log2(p / p) = 0
-    return np.where(kept, -(lam * np.log2(lam / p)).sum(axis=-1), 0.0)
+    ent = np.subtract(0.0, (lam * np.log2(lam / p)).sum(axis=-1))
+    return np.where(kept, ent, 0.0)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -91,6 +92,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     Eigenvalues in (-PSD_TOL, 0) count as zero (eigensolver round-off);
     anything below -PSD_TOL is a genuine PSD violation.
     """
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
     vals, _ = hermitian_eig(rho)
     if vals[0] < -PSD_TOL:
         raise ValueError(f"negative eigenvalue {vals[0]}: "
@@ -100,7 +103,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), clamped within 1e-12 of [0,1]."""
-    if x < -1e-12 or x > 1.0 + 1e-12:
+    if not -1e-12 <= x <= 1.0 + 1e-12:
         raise ValueError(f"binary entropy argument {x} outside [0,1]")
     x = min(max(x, 0.0), 1.0)
     return float(spectral_entropy(np.array([x, 1.0 - x])))

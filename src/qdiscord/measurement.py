@@ -32,14 +32,8 @@ class VonNeumannMeasurement:
 
     def __post_init__(self):
         norm = self.r ** 2 + sum(c * c for c in self.y)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"(r, y) has squared norm {norm}, expected 1")
-
-    def unitary(self) -> np.ndarray:
-        v = self.r * np.eye(2, dtype=complex)
-        for c, s in zip(self.y, PAULIS):
-            v = v + 1j * c * s
-        return v
 
     def bloch_direction(self) -> np.ndarray:
         """Bloch vector of the first projector: the image of z under
@@ -93,7 +87,10 @@ def hyperspherical_angles(meas: VonNeumannMeasurement) -> np.ndarray:
 def from_bloch(direction) -> VonNeumannMeasurement:
     """Measurement whose first projector has the given Bloch direction."""
     d = np.asarray(direction, dtype=float)
-    d = d / math.sqrt(float(d @ d))
+    norm = math.sqrt(float(d @ d))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalise Bloch direction {d.tolist()}")
+    d = d / norm
     theta = math.acos(max(min(d[2], 1.0), -1.0))
     phi = math.atan2(d[1], d[0])
     half = theta / 2.0
@@ -113,11 +110,11 @@ def conditional_entropy_fn(rho: DensityMatrix):
     This is the package's one conditional-entropy route; the tests check
     it against the independent routes in tests/reference.py.
 
-    The evaluator takes a VonNeumannMeasurement or a 3-tuple of floats,
-    one unit Bloch direction (the form bloch_of_angles returns), and
-    returns a float; or an (N, 3) array of unit Bloch directions, and
-    returns the N entropies in one vectorised pass (the grid oracle's
-    form).
+    The evaluator takes a 3-tuple of floats, one unit Bloch direction
+    (bloch_of_angles's form; tuple(meas.bloch_direction()) for a
+    measurement), and returns a float; or an (N, 3) array of unit Bloch
+    directions, and returns the N entropies in one vectorised pass (the
+    grid oracle's form).  Any other array shape is refused.
     """
     m, n = rho.dims
     if n != 2:
@@ -199,14 +196,15 @@ def conditional_entropy_fn(rho: DensityMatrix):
 
 
 def _evaluator(evaluate_one, evaluate_batch):
-    """One entry point for the three input forms of the evaluator."""
+    """One entry point for the two input forms of the evaluator."""
 
     def evaluate(z):
         if isinstance(z, tuple):
             return evaluate_one(*z)
-        if isinstance(z, VonNeumannMeasurement):
-            return evaluate_one(*_bloch_of_unit(z.r, *z.y))
-        return evaluate_batch(np.asarray(z, dtype=float))
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2 or z.shape[1] != 3:
+            raise ValueError(f"directions of shape {z.shape}, not (N, 3)")
+        return evaluate_batch(z)
 
     return evaluate
 

@@ -72,8 +72,8 @@ def minimize(evaluate, cfg: OptimizerConfig):
 
     if cfg.method == "grid_then_polish":
         # The coarse grid already covers the sphere; restarts add nothing.
-        _, coarse = grid_oracle(evaluate, resolution=24)
-        res = nelder_mead(cost, hyperspherical_angles(coarse), cfg)
+        _, d = grid_oracle(evaluate, 24)
+        res = nelder_mead(cost, hyperspherical_angles(from_bloch(d)), cfg)
     else:  # nelder_mead
         res = multi_start(nelder_mead, cost, cfg)
     return res, from_angles(res.best_params)
@@ -224,7 +224,7 @@ def _bloch_directions(u, phi):
     return np.stack([s * np.cos(phi), s * np.sin(phi), u], axis=1)
 
 
-def grid_oracle(cost_of_directions, resolution: int = 200):
+def grid_oracle(cost_of_directions, resolution: int):
     """Brute-force minimum of a measurement cost over the Bloch sphere.
 
     `cost_of_directions` maps an (N, 3) array of unit Bloch directions
@@ -232,7 +232,7 @@ def grid_oracle(cost_of_directions, resolution: int = 200):
     called once on the cell centres of a resolution x resolution grid
     uniform in (cos theta, phi), then once per level of three levels of
     3x3 refinement around the best point.  Ties go to the first point in
-    row-major order.  Returns (min value, argmin measurement).
+    row-major order.  Returns (min value, argmin direction as a 3-tuple).
     """
     if not MIN_ORACLE_RESOLUTION <= resolution <= MAX_ORACLE_RESOLUTION:
         raise ValueError("oracle resolution must be from "
@@ -257,4 +257,4 @@ def grid_oracle(cost_of_directions, resolution: int = 200):
         u0, phi0 = uc[k], pc[k]
         wu /= 3.0
         wphi /= 3.0
-    return best_val, from_bloch(best_dir)
+    return best_val, tuple(best_dir.tolist())

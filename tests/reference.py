@@ -7,7 +7,8 @@ routes here are independent of it, and the acceptance criteria and
 tests check it against them.
 
 - `conditional_entropy`: the direct route, an einsum that sandwiches
-  the B indices of rho between the measured kets.
+  the B indices of rho between the measured kets, the columns of
+  `unitary(meas)`.
 - `vectorize`, `devectorize`, `VectorizedState`, `projectors`,
   `apply_superop_vectorized` and `vectorized_conditional_entropy`: the
   doubled-Hilbert-space route, where Pi rho Pi becomes (Pi x Pi^T)|rho>.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdiscord.linalg import von_neumann_entropy
+from qdiscord.linalg import PAULIS, von_neumann_entropy
 from qdiscord.measurement import (PROB_FLOOR, VonNeumannMeasurement,
                                   _unit_of_angles, bloch_of_angles)
 from qdiscord.optimizer import OptimizationResult, OptimizerConfig
@@ -38,9 +39,17 @@ from qdiscord.su_basis import SuDecomposition, generators
 GRAD_CLAMP = 1e6
 
 
+def unitary(meas: VonNeumannMeasurement) -> np.ndarray:
+    """V = r I + i (y . sigma), whose columns are the measured kets."""
+    v = meas.r * np.eye(2, dtype=complex)
+    for c, s in zip(meas.y, PAULIS):
+        v = v + 1j * c * s
+    return v
+
+
 def projectors(meas: VonNeumannMeasurement) -> tuple[np.ndarray, np.ndarray]:
     """The two rank-1 projectors (Pi0, Pi1) of the measurement."""
-    v = meas.unitary()
+    v = unitary(meas)
     return tuple(np.outer(v[:, j], v[:, j].conj()) for j in range(2))
 
 
@@ -55,7 +64,7 @@ def conditional_entropy(rho: DensityMatrix,
     m, n = rho.dims
     if n != 2:
         raise ValueError("measurement acts on a 2-dimensional subsystem B")
-    v = meas.unitary()
+    v = unitary(meas)
     r4 = np.asarray(rho.matrix).reshape(m, 2, m, 2)
     total = 0.0
     for j in range(2):

@@ -2,7 +2,7 @@
 oracle built on it.
 
 `conditional_entropy_fn(rho)` returns an evaluator that takes either one
-measurement or an (N, 3) array of unit Bloch directions.  These tests
+unit Bloch direction as a 3-tuple or an (N, 3) array of them.  These tests
 pin the array form to the scalar form and to the direct route on random
 2x2 and 3x2 states, and the vectorised oracle to the per-point search it
 replaced.  Non-negativity of the array form on pure blocks is checked
@@ -43,7 +43,8 @@ def test_batch_matches_scalar_and_direct_route(seed, m):
     evaluate = conditional_entropy_fn(rho)
     batch = evaluate(dirs)
     assert batch.shape == (16,)
-    scalar = [evaluate(from_bloch(d)) for d in dirs]
+    scalar = [evaluate(tuple(from_bloch(d).bloch_direction().tolist()))
+              for d in dirs]
     direct = [conditional_entropy(rho, from_bloch(d)) for d in dirs]
     assert np.max(np.abs(batch - scalar)) < 1e-12
     assert np.max(np.abs(batch - direct)) < 1e-12
@@ -75,7 +76,7 @@ def per_point_oracle(evaluate, resolution):
         u = max(min(u, 1.0), -1.0)
         s = math.sqrt(max(1.0 - u * u, 0.0))
         meas = from_bloch((s * math.cos(phi), s * math.sin(phi), u))
-        return evaluate(meas), meas
+        return evaluate(tuple(meas.bloch_direction().tolist())), meas
 
     best_val, best_meas, cell = math.inf, None, None
     du, dphi = 2.0 / resolution, 2.0 * math.pi / resolution
@@ -105,12 +106,12 @@ def per_point_oracle(evaluate, resolution):
 def test_vectorised_oracle_matches_per_point_search(m, seed):
     evaluate = conditional_entropy_fn(
         ginibre_state(np.random.default_rng(seed), (m, 2)))
-    val, meas = grid_oracle(evaluate, 16)
+    val, z = grid_oracle(evaluate, 16)
     loop_val, loop_meas = per_point_oracle(evaluate, 16)
     assert val == pytest.approx(loop_val, abs=1e-12)
     # z and -z name the same pair of projectors, so the cost cannot tell
     # the two cells apart and rounding decides which one a search keeps.
-    z, loop_z = meas.bloch_direction(), loop_meas.bloch_direction()
+    z, loop_z = np.array(z), loop_meas.bloch_direction()
     assert min(np.max(np.abs(z - loop_z)), np.max(np.abs(z + loop_z))) < 1e-9
 
 

@@ -15,7 +15,7 @@ from qdiscord.correlations import (CorrelationReport, OptimizerStats,
 from qdiscord.measurement import (VonNeumannMeasurement,
                                   conditional_entropy_fn)
 from qdiscord.optimizer import grid_oracle
-from qdiscord.states import load_state, save_state, werner
+from qdiscord.states import DensityMatrix, load_state, save_state, werner
 
 
 @pytest.fixture
@@ -132,6 +132,23 @@ def test_oracle_command(werner_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "grid minimum conditional entropy 0.8112781245" in out
+
+
+def test_pure_product_state_prints_no_negative_zero(tmp_path, capsys):
+    # Every entropy of |00><00| is zero, and must print as +0.
+    state, out_path = tmp_path / "pure.json", tmp_path / "report.json"
+    save_state(DensityMatrix((2, 2), np.diag([1.0, 0.0, 0.0, 0.0])), state)
+    assert main(["compute", "--state", str(state), "--out",
+                 str(out_path)]) == 0
+    assert main(["oracle", "--state", str(state),
+                 "--oracle-resolution", "24"]) == 0
+    out = capsys.readouterr().out
+    assert "marginal entropy S(rho_A)        0.0000000000 bits" in out
+    assert "-0.0000000000" not in out
+    data = json.loads(out_path.read_text())
+    for key in ("mutual_information", "classical_correlation", "discord",
+                "min_conditional_entropy"):
+        assert math.copysign(1.0, data[key]) == 1.0, key
 
 
 def test_sweep_csv_columns_and_values(tmp_path, capsys):

@@ -113,6 +113,20 @@ def test_entropy_pure_and_maximally_mixed():
     assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_zero_entropy_is_positive_zero():
+    # A zero entropy must not print as -0.0000000000.
+    ket0 = np.diag([1.0, 0.0, 0.0, 0.0])
+    for value in (von_neumann_entropy(ket0), binary_entropy(0.0),
+                  binary_entropy(1.0)):
+        assert math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_entropy_refuses_non_finite_matrix(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        von_neumann_entropy(np.diag([bad, 1.0]))
+
+
 def test_entropy_werner_half():
     # -sum lam log2 lam over {0.625, 0.125 x3}.
     expected = -(0.625 * math.log2(0.625) + 3 * 0.125 * math.log2(0.125))
@@ -156,6 +170,11 @@ def test_binary_entropy_values():
         binary_entropy(1.5)
 
 
+def test_binary_entropy_refuses_nan():
+    with pytest.raises(ValueError, match="outside"):
+        binary_entropy(math.nan)
+
+
 def test_density_matrix_report():
     assert is_density_matrix(I2 / 2).valid
     bad = is_density_matrix(SIGMA_X)
@@ -163,6 +182,10 @@ def test_density_matrix_report():
     assert bad.trace_defect == pytest.approx(1.0)
     assert bad.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
     assert is_density_matrix(werner(1.0).matrix).valid
+
+
+def test_density_matrix_report_of_nan_matrix_is_invalid():
+    assert not is_density_matrix(np.diag([math.nan, 1.0, 0.0, 0.0])).valid
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0])

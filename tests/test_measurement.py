@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qdiscord.states import (DensityMatrix, bell_diagonal, fixed_random_state,
                              werner)
 from tests.corpus import ginibre_state, random_valid_omega
 from tests.reference import (_bloch_jacobian, apply_superop_vectorized,
-                             conditional_entropy, projectors,
+                             conditional_entropy, projectors, unitary,
                              vectorize, vectorized_conditional_entropy)
 
 
@@ -24,7 +25,7 @@ def test_from_angles_special_points():
     m = from_angles((0, 1.3, 2.7))
     assert m.r == pytest.approx(1.0)
     assert np.allclose(m.y, 0, atol=1e-15)
-    assert np.allclose(m.unitary(), np.eye(2), atol=1e-15)
+    assert np.allclose(unitary(m), np.eye(2), atol=1e-15)
 
     m2 = from_angles((math.pi / 2, math.pi / 2, math.pi / 2))
     assert abs(m2.r) < 1e-15
@@ -37,7 +38,7 @@ def test_from_angles_always_on_sphere():
         m = random_measurement(rng)
         norm = m.r ** 2 + sum(c * c for c in m.y)
         assert abs(norm - 1.0) < 1e-12
-        v = m.unitary()
+        v = unitary(m)
         assert np.max(np.abs(v @ v.conj().T - np.eye(2))) < 1e-10
 
 
@@ -57,6 +58,18 @@ def test_from_bloch_direction_roundtrip():
         d /= np.linalg.norm(d)
         m = from_bloch(d)
         assert np.allclose(m.bloch_direction(), d, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [(0.0, 0.0, 0.0), (math.nan, 0.0, 1.0),
+                               (math.inf, 0.0, 1.0)])
+def test_from_bloch_refuses_zero_and_non_finite_directions(d):
+    with pytest.raises(ValueError, match="cannot normalise"):
+        from_bloch(d)
+
+
+def test_measurement_refuses_nan():
+    with pytest.raises(ValueError, match="squared norm"):
+        VonNeumannMeasurement(math.nan, (0.0, 0.0, 0.0))
 
 
 def test_projectors_identity_basis():
@@ -144,9 +157,9 @@ def test_conditional_entropy_bounds():
 def test_global_phase_gauge_invariance():
     m = from_angles((0.7, 1.2, 0.4))
     # iV realizes the same projectors as V.
-    v = m.unitary()
+    v = unitary(m)
     flipped = VonNeumannMeasurement(-m.r, tuple(-c for c in m.y))
-    assert np.allclose(flipped.unitary(), -v, atol=1e-12)
+    assert np.allclose(unitary(flipped), -v, atol=1e-12)
     assert np.allclose(projectors(m)[0], projectors(flipped)[0], atol=1e-12)
     rho = fixed_random_state()
     assert conditional_entropy(rho, m) == pytest.approx(
@@ -162,6 +175,12 @@ def test_bell_conditional_entropy_special_cases():
         a = rng.uniform(0, 1)
         assert bell_conditional_entropy((-a, -a, -a), meas) == pytest.approx(
             binary_entropy((1 + a) / 2), abs=1e-12)
+
+
+def test_bell_conditional_entropy_refuses_nan_omega():
+    with pytest.raises(ValueError):
+        bell_conditional_entropy((math.nan, 0.0, 0.0),
+                                 from_bloch((1.0, 0.0, 0.0)))
 
 
 def test_bell_fast_path_equals_general():
@@ -181,7 +200,8 @@ def test_precompiled_conditional_entropy_nonnegative_on_pure_blocks():
     for rho in (werner(1.0), bell_diagonal((1, 1, -1))):
         evaluate = conditional_entropy_fn(rho)
         for _ in range(2000):
-            assert evaluate(random_measurement(rng)) >= 0.0
+            phi = rng.uniform(0, 2 * math.pi, 3)
+            assert evaluate(bloch_of_angles(phi)) >= 0.0
         # The array form, on 2,000 unit Bloch directions at once.
         dirs = rng.normal(size=(2000, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -198,13 +218,28 @@ def test_evaluator_takes_bloch_tuple_of_angles(m):
         meas = from_angles(phi)
         value = evaluate(z)
         assert type(value) is float
-        assert value == evaluate(meas)
         # The written-out map against its definition, U sigma_z U^dag.
-        v = meas.unitary()
+        v = unitary(meas)
         m_z = v @ PAULIS[2] @ v.conj().T
         want = np.array([0.5 * np.trace(s @ m_z).real for s in PAULIS])
         assert np.max(np.abs(np.array(z) - want)) < 1e-14
         assert np.max(np.abs(meas.bloch_direction() - want)) < 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evaluator_refuses_all_but_a_tuple_and_an_n_by_3_array(m):
+    evaluate = conditional_entropy_fn(
+        ginibre_state(np.random.default_rng(90 + m), (m, 2)))
+    z = (0.0, 0.0, 1.0)
+    assert type(evaluate(z)) is float
+    assert evaluate(np.array([z])).shape == (1,)
+    for shape in [(3,), (2, 2), (1, 3, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            evaluate(np.zeros(shape))
+    with pytest.raises(ValueError, match=re.escape("shape (3,)")):
+        evaluate(list(z))
+    with pytest.raises(TypeError):
+        evaluate(from_bloch(z))
 
 
 def test_bloch_jacobian_matches_central_differences():
@@ -261,8 +296,9 @@ def test_precompiled_conditional_entropy_agrees():
         rho = ginibre_state(rng)
         fast = conditional_entropy_fn(rho)
         meas = random_measurement(rng)
-        assert fast(meas) == pytest.approx(conditional_entropy(rho, meas),
-                                           abs=1e-12)
+        z = tuple(meas.bloch_direction().tolist())
+        assert fast(z) == pytest.approx(conditional_entropy(rho, meas),
+                                        abs=1e-12)
 
 
 def test_vectorized_conditional_entropy_agrees():

@@ -10,7 +10,7 @@ from qdiscord.measurement import (bell_conditional_entropy, bloch_of_angles,
 from qdiscord.optimizer import (OptimizerConfig, gradient_descent, _cell_grid,
                                 grid_oracle, multi_start, nelder_mead)
 from qdiscord.states import DensityMatrix, bell_diagonal, werner
-from tests.corpus import random_valid_omega
+from tests.corpus import ginibre_state, random_valid_omega
 from tests.reference import (analytic_gradient_bell, conditional_entropy,
                              finite_diff_gradient)
 from tests.reference import nelder_mead as array_nelder_mead
@@ -82,7 +82,8 @@ def test_analytic_gradient_stationary_at_oracle_argmin():
     _, argmin = grid_oracle(conditional_entropy_fn(bell_diagonal(omega)), 64)
     from qdiscord.measurement import hyperspherical_angles
 
-    g = analytic_gradient_bell(omega, hyperspherical_angles(argmin))
+    g = analytic_gradient_bell(omega,
+                               hyperspherical_angles(from_bloch(argmin)))
     # The argmin is only grid-cell accurate, so the gradient is small
     # but not machine zero.
     assert float(np.max(np.abs(g))) < 1e-2
@@ -177,10 +178,13 @@ def test_nelder_mead_takes_the_array_path_on_measurement_costs(m, seed):
     axes = np.vstack([np.eye(3), -np.eye(3)])
     starts = [hyperspherical_angles(from_bloch(d)) for d in axes]
     starts += list(rng.uniform(0.0, 2.0 * math.pi, size=(2, 3)))
+
+    def via_measurement(t):
+        return evaluate(tuple(from_angles(t).bloch_direction().tolist()))
+
     for theta0 in starts:
         assert_same_path(lambda t: evaluate(bloch_of_angles(t)),
-                         lambda t: evaluate(from_angles(t)), theta0,
-                         OptimizerConfig())
+                         via_measurement, theta0, OptimizerConfig())
 
 
 def test_nelder_mead_matches_gradient_descent():
@@ -221,10 +225,21 @@ def test_grid_oracle_flat_costs():
 def test_grid_oracle_ties_go_to_the_first_cell():
     # On a constant cost every grid point and every refinement point
     # ties, so the answer is the first cell centre in row-major order.
-    val, meas = grid_oracle(lambda d: np.ones(len(d)), 8)
+    val, direction = grid_oracle(lambda d: np.ones(len(d)), 8)
     assert val == 1.0
-    assert np.allclose(meas.bloch_direction(), _cell_grid(8)[2][0],
-                       atol=1e-12)
+    assert np.allclose(direction, _cell_grid(8)[2][0], atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_grid_oracle_returns_its_direction_as_a_tuple(m):
+    evaluate = conditional_entropy_fn(
+        ginibre_state(np.random.default_rng(m), (m, 2)))
+    val, direction = grid_oracle(evaluate, 16)
+    assert type(direction) is tuple and len(direction) == 3
+    assert all(type(c) is float for c in direction)
+    assert evaluate(direction) == pytest.approx(val, abs=1e-12)
+    with pytest.raises(TypeError):
+        grid_oracle(evaluate)
 
 
 def test_grid_oracle_rejects_resolution_above_cap_before_scanning():
@@ -260,8 +275,7 @@ def test_grid_oracle_dominant_axis():
         lambda dirs: np.array([bell_conditional_entropy(omega, from_bloch(d))
                                for d in dirs]), 128)
     assert val == pytest.approx(binary_entropy((1 + 0.9) / 2), abs=1e-6)
-    z = argmin.bloch_direction()
-    assert abs(abs(z[0]) - 1.0) < 1e-2
+    assert abs(abs(argmin[0]) - 1.0) < 1e-2
 
 
 def test_multi_start_deterministic():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from qdiscord.correlations import quantum_discord
 from qdiscord.linalg import von_neumann_entropy
-from qdiscord.measurement import conditional_entropy_fn, from_angles
+from qdiscord.measurement import (bloch_of_angles, conditional_entropy_fn,
+                                  from_angles)
 from qdiscord.optimizer import grid_oracle
 from qdiscord.states import DensityMatrix
 from tests.corpus import ginibre
@@ -32,7 +33,7 @@ angles = st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3)
 def test_evaluator_matches_direct_route(seed, phi):
     rho = DensityMatrix((3, 2), ginibre(np.random.default_rng(seed), 6))
     meas = from_angles(phi)
-    assert conditional_entropy_fn(rho)(meas) == pytest.approx(
+    assert conditional_entropy_fn(rho)(bloch_of_angles(phi)) == pytest.approx(
         conditional_entropy(rho, meas), abs=1e-12)
 
 
@@ -44,7 +45,8 @@ def test_product_state_conditions_to_marginal_entropy(seed, phi):
     rho = DensityMatrix((3, 2), np.kron(rho_a, ginibre(rng, 2)))
     meas = from_angles(phi)
     s_a = von_neumann_entropy(rho_a)
-    assert conditional_entropy_fn(rho)(meas) == pytest.approx(s_a, abs=1e-12)
+    assert conditional_entropy_fn(rho)(bloch_of_angles(phi)) == pytest.approx(
+        s_a, abs=1e-12)
     assert conditional_entropy(rho, meas) == pytest.approx(s_a, abs=1e-12)
 
 
