@@ -147,6 +147,8 @@ def _validity_and_eig(m: np.ndarray, tol: float):
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise ValueError("density matrix candidate must be square")
+    if not np.isfinite(m).all():  # invalid; the eigensolver may not converge
+        return ValidityReport(np.nan, np.nan, np.nan, tol), None, None
     herm = hermiticity_defect(m)
     tr = abs(complex(np.trace(m)) - 1.0)
     sym = 0.5 * (m + m.conj().T)

@@ -111,7 +111,7 @@ def conditional_entropy_fn(rho: DensityMatrix):
     it against the independent routes in tests/reference.py.
 
     The evaluator takes a 3-tuple of floats, one unit Bloch direction
-    (bloch_of_angles's form; tuple(meas.bloch_direction()) for a
+    (bloch_of_angles's form; tuple(meas.bloch_direction().tolist()) for a
     measurement), and returns a float; or an (N, 3) array of unit Bloch
     directions, and returns the N entropies in one vectorised pass (the
     grid oracle's form).  Any other array shape is refused.

@@ -21,12 +21,13 @@ from .measurement import (bloch_of_angles, from_angles, from_bloch,
                           hyperspherical_angles)
 
 METHODS = ("nelder_mead", "grid_then_polish")
-# grid_oracle's resolution range.  A scan holds resolution**2 directions
-# at once, about 80 B x m**2 each on an m x 2 state, so its memory grows
-# with m**2: at the cap, about 330 MB on 2x2 and 780 MB on 3x2, but a
-# 16x2 state takes about 820 MB already at resolution 200.  The cap
-# bounds the resolution; measurement.SCAN_MEMORY_BUDGET bounds the
-# memory, refusing an m > 2 scan above 1 GB (a 64x2 state at 200).
+# grid_oracle's resolution range.  A scan holds resolution**2 / 2
+# directions at once (resolution**2 at odd resolution), about 80 B x m**2
+# each on an m x 2 state, so its memory grows with m**2: at the cap,
+# about 190 MB on 2x2 and 410 MB on 3x2, but a 16x2 state takes about
+# 430 MB already at resolution 200 (peak RSS).  The cap bounds the
+# resolution; measurement.SCAN_MEMORY_BUDGET bounds the memory, refusing
+# an m > 2 scan above 1 GB (a 64x2 state at 200).
 MIN_ORACLE_RESOLUTION, MAX_ORACLE_RESOLUTION = 8, 1000
 
 
@@ -207,11 +208,15 @@ def multi_start(inner, cost, cfg: OptimizerConfig) -> OptimizationResult:
 def _cell_grid(resolution: int):
     """Cell centres (u, phi) of a resolution x resolution grid uniform in
     (u = cos theta, phi), in row-major (u, phi) order, and their Bloch
-    directions.  The two most recent resolutions stay cached, enough for
-    the grid_then_polish seed and a report's oracle."""
+    directions.  At even resolution only the rows with u < 0: cell (i, j)
+    is the antipode of cell (resolution-1-i, j+resolution/2), and a cost
+    of a projective measurement takes the same value at z and -z.  The
+    two most recent resolutions stay cached, enough for the
+    grid_then_polish seed and a report's oracle."""
     cells = np.arange(resolution) + 0.5
-    u = np.repeat(-1.0 + cells * (2.0 / resolution), resolution)
-    phi = np.tile(cells * (2.0 * math.pi / resolution), resolution)
+    rows = cells[:resolution // 2] if resolution % 2 == 0 else cells
+    u = np.repeat(-1.0 + rows * (2.0 / resolution), resolution)
+    phi = np.tile(cells * (2.0 * math.pi / resolution), len(rows))
     grid = (u, phi, _bloch_directions(u, phi))
     for a in grid:
         a.setflags(write=False)
@@ -231,7 +236,9 @@ def grid_oracle(cost_of_directions, resolution: int):
     to N costs, as the evaluator of conditional_entropy_fn does.  It is
     called once on the cell centres of a resolution x resolution grid
     uniform in (cos theta, phi), then once per level of three levels of
-    3x3 refinement around the best point.  Ties go to the first point in
+    3x3 refinement around the best point.  At even resolution it scans
+    only the cos theta < 0 half, the antipodes of the other half, so the
+    cost must have f(z) = f(-z).  Ties go to the first scanned cell in
     row-major order.  Returns (min value, argmin direction as a 3-tuple).
     """
     if not MIN_ORACLE_RESOLUTION <= resolution <= MAX_ORACLE_RESOLUTION:

@@ -102,12 +102,18 @@ def per_point_oracle(evaluate, resolution):
     return best_val, best_meas
 
 
-@pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)])
-def test_vectorised_oracle_matches_per_point_search(m, seed):
+# The oracle scans half the grid at even resolution and all of it at odd
+# resolution; the loop always scans all of it.
+@pytest.mark.parametrize("m,seed,resolution", [
+    *(pytest.param(m, seed, 16, id=f"{m}-{seed}")
+      for m, seed in [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]),
+    *(pytest.param(m, 0, 15, id=f"{m}-0-odd") for m in (2, 3)),
+])
+def test_vectorised_oracle_matches_per_point_search(m, seed, resolution):
     evaluate = conditional_entropy_fn(
         ginibre_state(np.random.default_rng(seed), (m, 2)))
-    val, z = grid_oracle(evaluate, 16)
-    loop_val, loop_meas = per_point_oracle(evaluate, 16)
+    val, z = grid_oracle(evaluate, resolution)
+    loop_val, loop_meas = per_point_oracle(evaluate, resolution)
     assert val == pytest.approx(loop_val, abs=1e-12)
     # z and -z name the same pair of projectors, so the cost cannot tell
     # the two cells apart and rounding decides which one a search keeps.

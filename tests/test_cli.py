@@ -493,15 +493,16 @@ def test_input_tolerance_of_one_or_more_is_an_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["oracle"], ["compute", "--oracle"]])
 def test_scan_above_the_memory_budget_is_an_error(argv, tmp_path, capsys):
-    # A 64x2 state's res-200 scan would need about 13 GB; it is refused
-    # before anything large is allocated.
+    # A 64x2 state's res-200 scan, 20000 directions of the u < 0 half
+    # grid, would need about 6.6 GB; it is refused before anything large
+    # is allocated.
     path = tmp_path / "mixed64.json"
     path.write_text(json.dumps({"dims": [64, 2],
                                 "re": (np.eye(128) / 128).tolist(),
                                 "im": np.zeros((128, 128)).tolist()}))
     assert main(argv + ["--state", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: a scan of 40000 directions on a 64x2 state")
+    assert err.startswith("error: a scan of 20000 directions on a 64x2 state")
     assert "1 GB scan memory budget" in err
 
 

@@ -185,7 +185,11 @@ def test_density_matrix_report():
 
 
 def test_density_matrix_report_of_nan_matrix_is_invalid():
-    assert not is_density_matrix(np.diag([math.nan, 1.0, 0.0, 0.0])).valid
+    # The eigensolver is not called on a non-finite matrix: numpy's eigh
+    # raised LinAlgError on the all-NaN one.
+    for m in (np.diag([math.nan, 1.0, 0.0, 0.0]), np.full((4, 4), math.nan),
+              np.full((4, 4), math.inf)):
+        assert not is_density_matrix(m).valid
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1.0])

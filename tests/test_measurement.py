@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +300,21 @@ def test_precompiled_conditional_entropy_agrees():
         z = tuple(meas.bloch_direction().tolist())
         assert fast(z) == pytest.approx(conditional_entropy(rho, meas),
                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_documented_way_to_evaluate_a_measurement_returns_a_float(m):
+    # tuple(meas.bloch_direction()) held numpy scalars, so the 2x2
+    # evaluator returned np.float64.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    documented = re.search(r"evaluated as\s+`evaluate\((.*?)\)`",
+                           readme).group(1)
+    assert documented in conditional_entropy_fn.__doc__
+    rng = np.random.default_rng(m)
+    rho, meas = ginibre_state(rng, (m, 2)), random_measurement(rng)
+    value = conditional_entropy_fn(rho)(eval(documented, {"meas": meas}))
+    assert type(value) is float
+    assert value == pytest.approx(conditional_entropy(rho, meas), abs=1e-12)
 
 
 def test_vectorized_conditional_entropy_agrees():

@@ -230,6 +230,39 @@ def test_grid_oracle_ties_go_to_the_first_cell():
     assert np.allclose(direction, _cell_grid(8)[2][0], atol=1e-12)
 
 
+@pytest.mark.parametrize("resolution", [8, 15, 16, 200])
+def test_cell_grid_scans_one_hemisphere_at_even_resolution(resolution):
+    # The full grid in row-major (u, phi) order, built here cell by cell.
+    # At even resolution the scan is its first half, the u < 0 rows, and
+    # the antipode of cell (i, j) is cell (res-1-i, j+res/2), so the
+    # scanned cells and their negatives cover the full grid.  At odd
+    # resolution the scan is the full grid.
+    du, dphi = 2.0 / resolution, 2.0 * math.pi / resolution
+    full = []
+    for i in range(resolution):
+        u = -1.0 + (i + 0.5) * du
+        s = math.sqrt(1.0 - u * u)
+        for j in range(resolution):
+            phi = (j + 0.5) * dphi
+            full.append((s * math.cos(phi), s * math.sin(phi), u))
+    full = np.array(full)
+    scanned = _cell_grid(resolution)[2]
+    if resolution % 2:
+        assert len(scanned) == resolution ** 2
+        assert np.max(np.abs(scanned - full)) < 1e-15
+        return
+    half = resolution // 2
+    assert len(scanned) == resolution * half
+    mirror = [(resolution - 1 - i) * resolution + (j + half) % resolution
+              for i in range(half) for j in range(resolution)]
+    assert sorted(list(range(len(scanned))) + mirror) \
+        == list(range(resolution ** 2))
+    assert np.max(np.abs(scanned - full[:len(scanned)])) < 1e-15
+    # u = -1 + (i + 0.5) du and -u of the mirror row round apart, and
+    # sqrt(1 - u**2) amplifies that near the poles.
+    assert np.max(np.abs(-scanned - full[mirror])) < 2e-15
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_grid_oracle_returns_its_direction_as_a_tuple(m):
     evaluate = conditional_entropy_fn(
